@@ -17,11 +17,17 @@
 //   clpp-lint --audit-model     train a small transformer advisor, lint its
 //                               predicted directives (model-vs-linter)
 //
+// Input files, and --audit records, are linted on one OpenMP team, one unit
+// per file or record; OMP_NUM_THREADS=1 runs serially. Output is printed in
+// input order and is byte-identical at any thread count.
+//
 // Exit status: 0 = no errors, 1 = at least one error finding, 2 = failure.
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "codegen/generator.h"
@@ -31,77 +37,120 @@
 #include "lint/explain.h"
 #include "lint/linter.h"
 #include "support/cli.h"
+#include "support/parallel.h"
 
 namespace {
+
+/// Reads `files` in argument order ("-" = stdin) up to the first one that
+/// cannot be opened, renders each on one OpenMP team into its own slot
+/// (`render(display, source)`), then hands the slots to `emit` in input
+/// order, so the output does not depend on the thread count. If a render
+/// throws, the earlier slots are emitted before the exception propagates.
+/// Returns false, after the earlier files' output and a "cannot open"
+/// message, if a file could not be opened.
+template <typename Render, typename Emit>
+bool for_each_file(const std::vector<std::string>& files, const Render& render,
+                   const Emit& emit) {
+  struct Input {
+    std::string display;
+    std::string source;
+  };
+  std::vector<Input> inputs;
+  std::string unreadable;
+  for (const std::string& path : files) {
+    std::ostringstream buffer;
+    if (path == "-") {
+      buffer << std::cin.rdbuf();
+    } else {
+      std::ifstream in(path);
+      if (!in) {
+        unreadable = path;
+        break;
+      }
+      buffer << in.rdbuf();
+    }
+    inputs.push_back({path == "-" ? "<stdin>" : path, buffer.str()});
+  }
+
+  using Slot = std::invoke_result_t<const Render&, const std::string&, const std::string&>;
+  std::vector<std::optional<Slot>> slots(inputs.size());
+  try {
+    clpp::parallel_for_dynamic(inputs.size(), [&](std::size_t i) {
+      slots[i] = render(inputs[i].display, inputs[i].source);
+    });
+  } catch (...) {
+    for (std::optional<Slot>& slot : slots) {
+      if (!slot) break;
+      emit(*slot);
+    }
+    throw;
+  }
+  for (std::optional<Slot>& slot : slots) emit(*slot);
+
+  if (unreadable.empty()) return true;
+  std::cerr << "clpp-lint: cannot open '" << unreadable << "'\n";
+  return false;
+}
 
 /// --explain: proof traces for every loop of every input file. Exit 0 when
 /// everything parsed, 2 on a parse/IO failure.
 int explain_files(const std::vector<std::string>& files,
                   const clpp::lint::Linter& linter, bool as_json) {
+  struct Explained {
+    std::string out;  // the traces, or nothing if the file did not parse
+    std::string err;  // the parse error
+  };
   int status = 0;
-  for (const std::string& path : files) {
-    std::string source;
-    if (path == "-") {
-      std::ostringstream buffer;
-      buffer << std::cin.rdbuf();
-      source = buffer.str();
-    } else {
-      std::ifstream in(path);
-      if (!in) {
-        std::cerr << "clpp-lint: cannot open '" << path << "'\n";
-        return 2;
-      }
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      source = buffer.str();
-    }
-    const std::string display = path == "-" ? "<stdin>" : path;
-    try {
-      const clpp::frontend::NodePtr unit = clpp::frontend::parse_snippet(source);
-      const std::vector<clpp::lint::LoopExplanation> loops =
-          clpp::lint::explain_unit(*unit, linter.options().analyzer);
-      if (as_json)
-        std::cout << clpp::lint::explanations_json(display, loops).dump() << "\n";
-      else
-        std::cout << clpp::lint::render_explanations(display, loops);
-    } catch (const clpp::ParseError& e) {
-      std::cerr << "clpp-lint: " << display << ": " << e.what() << "\n";
-      status = 2;
-    }
-  }
-  return status;
+  const bool readable = for_each_file(
+      files,
+      [&](const std::string& display, const std::string& source) {
+        Explained explained;
+        try {
+          const clpp::frontend::NodePtr unit = clpp::frontend::parse_snippet(source);
+          const std::vector<clpp::lint::LoopExplanation> loops =
+              clpp::lint::explain_unit(*unit, linter.options().analyzer);
+          explained.out = as_json
+                              ? clpp::lint::explanations_json(display, loops).dump() + "\n"
+                              : clpp::lint::render_explanations(display, loops);
+        } catch (const clpp::ParseError& e) {
+          explained.err = "clpp-lint: " + display + ": " + e.what() + "\n";
+        }
+        return explained;
+      },
+      [&](const Explained& explained) {
+        std::cout << explained.out;
+        if (explained.err.empty()) return;
+        std::cerr << explained.err;
+        status = 2;
+      });
+  return readable ? status : 2;
 }
 
 int lint_files(const std::vector<std::string>& files, const clpp::lint::Linter& linter,
                bool as_json, bool as_sarif) {
+  struct Linted {
+    clpp::lint::LintReport report;
+    std::string rendered;  // text or JSON; empty under --sarif
+  };
   bool any_errors = false;
   std::vector<clpp::lint::LintReport> reports;
-  for (const std::string& path : files) {
-    std::string source;
-    if (path == "-") {
-      std::ostringstream buffer;
-      buffer << std::cin.rdbuf();
-      source = buffer.str();
-    } else {
-      std::ifstream in(path);
-      if (!in) {
-        std::cerr << "clpp-lint: cannot open '" << path << "'\n";
-        return 2;
-      }
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      source = buffer.str();
-    }
-    const clpp::lint::LintReport report =
-        linter.lint_source(source, path == "-" ? "<stdin>" : path);
-    if (as_sarif)
-      reports.push_back(report);
-    else if (as_json)
-      std::cout << report.to_json().dump() << "\n";
-    else
-      std::cout << report.to_text();
-    any_errors = any_errors || report.errors() > 0;
-  }
+  const bool readable = for_each_file(
+      files,
+      [&](const std::string& display, const std::string& source) {
+        Linted linted{linter.lint_source(source, display), {}};
+        if (!as_sarif)
+          linted.rendered = as_json ? linted.report.to_json().dump() + "\n"
+                                    : linted.report.to_text();
+        return linted;
+      },
+      [&](Linted& linted) {
+        any_errors = any_errors || linted.report.errors() > 0;
+        if (as_sarif)
+          reports.push_back(std::move(linted.report));
+        else
+          std::cout << linted.rendered;
+      });
+  if (!readable) return 2;
   if (as_sarif)
     std::cout << clpp::lint::sarif_document(reports).dump() << "\n";
   return any_errors ? 1 : 0;

@@ -1,14 +1,16 @@
 #!/bin/sh
-# ThreadSanitizer gate for the serving scheduler and the observability
-# plumbing it leans on: build with -DCLPP_SANITIZE_THREAD=ON and run the
-# `serve`-, `obs`-, `shard`-, and `cache`-labeled tests (request queue,
-# micro-batching
+# ThreadSanitizer gate for the serving scheduler, the observability
+# plumbing it leans on, and the parallel linter: build with
+# -DCLPP_SANITIZE_THREAD=ON and run the `serve`-, `obs`-, `shard`-,
+# `cache`- and `lint`-labeled tests (request queue, micro-batching
 # workers, backpressure, drain-on-shutdown, sharded histograms under
 # concurrent writers, flight-recorder rings, the metrics streamer thread,
-# and the shard supervisor/listener — single-threaded by design, which TSan
-# verifies holds across worker forks and crash recovery). TSan is mutually
-# exclusive with ASan/UBSan, hence a separate build tree from
-# check_sanitize.sh.
+# the shard supervisor/listener — single-threaded by design, which TSan
+# verifies holds across worker forks and crash recovery — and the lint
+# audit, whose records are linted on an OpenMP team). libgomp is not
+# instrumented; support/parallel.h publishes each team's fork and join to
+# TSan itself. TSan is mutually exclusive with ASan/UBSan, hence a separate
+# build tree from check_sanitize.sh.
 #
 #   $ scripts/check_tsan.sh
 #   $ CTEST_ARGS="--repeat until-fail:5" scripts/check_tsan.sh
@@ -31,5 +33,5 @@ cmake --build "$BUILD_DIR" -j >/dev/null
 cd "$BUILD_DIR"
 # halt_on_error turns any reported race into a test failure.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-ctest --output-on-failure -j"$(nproc)" -L "serve|obs|shard|cache" ${CTEST_ARGS:-}
+ctest --output-on-failure -j"$(nproc)" -L "serve|obs|shard|cache|lint" ${CTEST_ARGS:-}
 echo "check_tsan: elapsed $(($(date +%s) - START_S))s"

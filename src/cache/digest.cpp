@@ -1,7 +1,5 @@
 #include "cache/digest.h"
 
-#include <cctype>
-
 namespace clpp::cache {
 
 namespace {
@@ -18,22 +16,65 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// The lexer's whitespace (frontend/lexer.cpp); any other byte, '\f' and
+/// '\v' included, is part of a token.
+bool is_lexer_space(char c) { return c == ' ' || c == '\t' || c == '\r' || c == '\n'; }
+
 }  // namespace
 
 std::string normalize_snippet(const std::string& code) {
+  // Lexical state, tracked the way frontend::lex does: whitespace is only
+  // insignificant between tokens and inside comments.
+  enum class State { kCode, kString, kChar, kLineComment, kBlockComment, kDirective };
+  State state = State::kCode;
   std::string out;
   out.reserve(code.size());
-  bool pending_space = false;
-  for (const char c : code) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      pending_space = !out.empty();  // drop leading runs entirely
+  char pending = '\0';  // the ' ' or '\n' a whitespace run leaves behind
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const char c = code[i];
+    const char next = i + 1 < code.size() ? code[i + 1] : '\0';
+    if (state == State::kString || state == State::kChar) {
+      // Literal bytes are kept verbatim; an escape keeps the next byte too.
+      out.push_back(c);
+      if (c == '\\' && i + 1 < code.size())
+        out.push_back(code[++i]);
+      else if (c == (state == State::kString ? '"' : '\''))
+        state = State::kCode;
       continue;
     }
-    if (pending_space) {
-      out.push_back(' ');
-      pending_space = false;
+    const bool splice = state == State::kDirective && c == '\\' && next == '\n';
+    if (splice || is_lexer_space(c)) {
+      if (splice) ++i;  // a spliced directive line reads as one space
+      if (c == '\n' && (state == State::kLineComment || state == State::kDirective)) {
+        pending = '\n';  // the newline ending a `//` comment or `#` line
+        state = State::kCode;
+      } else if (pending != '\n' && !out.empty()) {  // leading runs are dropped
+        pending = ' ';
+      }
+      continue;
+    }
+    if (pending != '\0') {
+      out.push_back(pending);
+      pending = '\0';
     }
     out.push_back(c);
+    if (state == State::kBlockComment) {
+      if (c == '*' && next == '/') {
+        out.push_back(code[++i]);
+        state = State::kCode;
+      }
+    } else if (state == State::kCode) {
+      if (c == '"') {
+        state = State::kString;
+      } else if (c == '\'') {
+        state = State::kChar;
+      } else if (c == '#') {
+        state = State::kDirective;
+      } else if (c == '/' && (next == '/' || next == '*')) {
+        out.push_back(code[++i]);
+        state = next == '/' ? State::kLineComment : State::kBlockComment;
+      }
+    }
   }
   return out;
 }

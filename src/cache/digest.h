@@ -2,13 +2,16 @@
 // routing (DESIGN.md §13).
 //
 // Advice is a pure function of the code text, so two requests whose snippets
-// differ only in surrounding/interior whitespace must hit the same cache
-// entry and route to the same shard. `normalize_snippet` collapses exactly
-// that equivalence class (whitespace runs -> one space, edges trimmed) —
-// collapsing is token-preserving for C-family source, which is all the
-// serving path accepts — and `snippet_digest` is FNV-1a 64 over the
-// normalized bytes. 0 is reserved as "no digest" (admin/cmd payloads,
-// unparseable requests), so the digest function never returns it.
+// differ only in insignificant whitespace must hit the same cache entry and
+// route to the same shard. `normalize_snippet` collapses exactly that
+// equivalence class, tracking lexical state the way frontend::lex does:
+// whitespace runs between tokens and inside comments become one space and
+// edges are trimmed, but string and char literals are kept verbatim and the
+// newline ending a `//` comment or a `#` line stays a newline, because
+// folding either would merge two different programs. `snippet_digest` is
+// FNV-1a 64 over the normalized bytes. 0 is reserved as "no digest"
+// (admin/cmd payloads, unparseable requests), so the digest function never
+// returns it.
 #pragma once
 
 #include <cstddef>
@@ -17,8 +20,9 @@
 
 namespace clpp::cache {
 
-/// Canonical form: leading/trailing whitespace trimmed, every interior run
-/// of whitespace collapsed to a single space.
+/// Canonical form: leading/trailing whitespace trimmed, every other run of
+/// insignificant whitespace collapsed to a single space, or to one newline
+/// where the run ends a `//` comment or a `#` line; literals kept verbatim.
 std::string normalize_snippet(const std::string& code);
 
 /// FNV-1a 64-bit over raw bytes.

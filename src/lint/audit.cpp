@@ -1,10 +1,12 @@
 #include "lint/audit.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "frontend/parser.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "support/parallel.h"
 
 namespace clpp::lint {
 
@@ -43,6 +45,16 @@ template <typename DirectiveOf>
 AuditReport run_audit(const corpus::Corpus& corpus, const Linter& linter,
                       std::string subject, const DirectiveOf& directive_of) {
   CLPP_TRACE_SPAN("lint.audit");
+  // Records are independent units: lint them on one team, one report per
+  // slot (nullopt = nothing to lint), then aggregate in record order.
+  std::vector<std::optional<LintReport>> linted(corpus.size());
+  parallel_for_dynamic(corpus.size(), [&](std::size_t i) {
+    const std::string directive = directive_of(i);
+    if (directive.empty()) return;
+    const corpus::Record& record = corpus.at(i);
+    linted[i] = lint_record(linter, directive, record.code, record.id);
+  });
+
   AuditReport report;
   report.subject = std::move(subject);
   report.records = corpus.size();
@@ -54,15 +66,14 @@ AuditReport run_audit(const corpus::Corpus& corpus, const Linter& linter,
     row.id = record.id;
     row.family = record.family;
     row.bug = record.bug;
-    const std::string directive = directive_of(i);
-    if (directive.empty()) {
+    if (!linted[i]) {
       report.rows.push_back(std::move(row));
       continue;
     }
 
     row.linted = true;
     ++report.linted;
-    const LintReport lint = lint_record(linter, directive, record.code, record.id);
+    const LintReport& lint = *linted[i];
     row.errors = lint.errors();
     row.warnings = lint.warnings();
     for (const Diagnostic& d : lint.diagnostics) {

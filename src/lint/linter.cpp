@@ -76,6 +76,26 @@ void erase_name(std::vector<std::string>& names, const std::string& name) {
   names.erase(std::remove(names.begin(), names.end(), name), names.end());
 }
 
+/// Adds one report's totals to the `clpp.lint.*` counters. The references
+/// are looked up once: a registry lookup takes a process-wide mutex, and
+/// audit units are linted on every core.
+void count_report(const LintReport& report) {
+  auto& m = obs::metrics();
+  static obs::Counter& loops = m.counter("clpp.lint.loops_linted");
+  static obs::Counter& diagnostics = m.counter("clpp.lint.diagnostics");
+  static obs::Counter& errors = m.counter("clpp.lint.errors");
+  static obs::Counter& warnings = m.counter("clpp.lint.warnings");
+  loops.add(report.loops_checked);
+  diagnostics.add(report.diagnostics.size());
+  errors.add(report.errors());
+  warnings.add(report.warnings());
+}
+
+void count_fixit() {
+  static obs::Counter& fixits = obs::metrics().counter("clpp.lint.fixits");
+  fixits.add();
+}
+
 std::string describe_effect(CallEffect effect) {
   switch (effect) {
     case CallEffect::kIo:
@@ -128,6 +148,9 @@ LintReport Linter::lint_unit(const Node& unit, std::string file) const {
   CLPP_TRACE_SPAN("lint.unit");
   LintReport report;
   report.file = std::move(file);
+  // One oracle per unit: its memo is a pure function of the unit, so every
+  // loop of the unit shares it.
+  const analysis::SideEffectOracle oracle(unit);
 
   // Every statement list (top level and nested compounds) can host a
   // directive + loop pair.
@@ -151,14 +174,10 @@ LintReport Linter::lint_unit(const Node& unit, std::string file) const {
         stmt = scope.children[j].get();
         break;
       }
-      lint_pair(unit, pragma_range(item), directive, stmt, report);
+      lint_pair(oracle, pragma_range(item), directive, stmt, report);
     }
   });
-
-  obs::metrics().counter("clpp.lint.loops_linted").add(report.loops_checked);
-  obs::metrics().counter("clpp.lint.diagnostics").add(report.diagnostics.size());
-  obs::metrics().counter("clpp.lint.errors").add(report.errors());
-  obs::metrics().counter("clpp.lint.warnings").add(report.warnings());
+  count_report(report);
   return report;
 }
 
@@ -169,23 +188,20 @@ LintReport Linter::lint_loop(const Node& unit, const OmpDirective& directive,
   report.file = std::move(file);
   // The directive line itself has no position in the parsed unit; anchor
   // directive-level findings at the top of the snippet.
-  lint_pair(unit, token_range(1, 1, directive.to_string().size()), directive, loop,
-            report);
-  obs::metrics().counter("clpp.lint.loops_linted").add(report.loops_checked);
-  obs::metrics().counter("clpp.lint.diagnostics").add(report.diagnostics.size());
-  obs::metrics().counter("clpp.lint.errors").add(report.errors());
-  obs::metrics().counter("clpp.lint.warnings").add(report.warnings());
+  lint_pair(analysis::SideEffectOracle(unit),
+            token_range(1, 1, directive.to_string().size()), directive, loop, report);
+  count_report(report);
   return report;
 }
 
-void Linter::lint_pair(const Node& unit, SourceRange at_pragma,
+void Linter::lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_pragma,
                        const OmpDirective& directive, const Node* stmt,
                        LintReport& report) const {
   CLPP_TRACE_SPAN("lint.loop");
   auto add = [&](const char* rule_id, Severity severity, SourceRange range,
                  std::string message, std::string fix = {}) {
     if (!options_.emit_fixits) fix.clear();
-    if (!fix.empty()) obs::metrics().counter("clpp.lint.fixits").add();
+    if (!fix.empty()) count_fixit();
     report.diagnostics.push_back(
         {rule_id, severity, range, std::move(message), std::move(fix), {}});
   };
@@ -214,7 +230,6 @@ void Linter::lint_pair(const Node& unit, SourceRange at_pragma,
     return;
   }
 
-  const analysis::SideEffectOracle oracle(unit);
   const analysis::DependenceAnalyzer analyzer(oracle, options_.analyzer);
   const analysis::LoopVerdict verdict = analyzer.analyze(loop);
   const AccessSet accesses = analysis::collect_accesses(body);

@@ -33,6 +33,7 @@
 #include <string>
 
 #include "analysis/depend.h"
+#include "analysis/sideeffects.h"
 #include "frontend/ast.h"
 #include "lint/diagnostics.h"
 
@@ -53,6 +54,8 @@ struct LintOptions {
   bool emit_fixits = true;
 };
 
+/// Stateless once built: its const members may run concurrently, as they
+/// do when clpp-lint and the audit lint their units on one OpenMP team.
 class Linter {
  public:
   explicit Linter(LintOptions options = {});
@@ -78,7 +81,7 @@ class Linter {
                        std::string file = "<input>") const;
 
  private:
-  void lint_pair(const frontend::Node& unit, SourceRange at_pragma,
+  void lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_pragma,
                  const frontend::OmpDirective& directive,
                  const frontend::Node* stmt, LintReport& report) const;
 

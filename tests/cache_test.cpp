@@ -42,6 +42,43 @@ TEST(SnippetDigest, WhitespaceRunsDoNotChangeTheDigest) {
             canonical);
 }
 
+// Whitespace the lexer reads as a token boundary may fold; whitespace that
+// ends a comment or directive, or sits inside a literal, may not: each pair
+// below is two different programs and must get two digests.
+
+TEST(SnippetDigest, NewlineEndingALineCommentIsSignificant) {
+  const std::string commented = "s += a[i]; // acc\n b[i] = 0;";
+  // Joined, the store becomes part of the comment.
+  EXPECT_NE(snippet_digest(commented), snippet_digest("s += a[i]; // acc b[i] = 0;"));
+  EXPECT_EQ(snippet_digest("s += a[i];   // acc  \n\t  b[i] = 0;\n"),
+            snippet_digest(commented));
+}
+
+TEST(SnippetDigest, NewlineEndingADirectiveIsSignificant) {
+  const std::string directive =
+      "#pragma omp parallel for\nfor (i = 0; i < n; i++) a[i] = 0;";
+  // Joined, the loop becomes part of the pragma line.
+  EXPECT_NE(snippet_digest(directive),
+            snippet_digest("#pragma omp parallel for for (i = 0; i < n; i++) a[i] = 0;"));
+  EXPECT_EQ(snippet_digest("#pragma  omp parallel for \n  for (i = 0; i < n; i++) a[i] = 0;"),
+            snippet_digest(directive));
+  // A spliced directive line continues the directive.
+  EXPECT_EQ(snippet_digest("#pragma omp parallel \\\n for\nfor (i = 0; i < n; i++) a[i] = 0;"),
+            snippet_digest(directive));
+}
+
+TEST(SnippetDigest, LiteralBytesAreKeptVerbatim) {
+  EXPECT_NE(snippet_digest("for (i = 0; i < n; i++) printf(\"%d  \", a[i]);"),
+            snippet_digest("for (i = 0; i < n; i++) printf(\"%d \", a[i]);"));
+  EXPECT_NE(snippet_digest("for (i = 0; i < n; i++) s[i] = '\t';"),
+            snippet_digest("for (i = 0; i < n; i++) s[i] = ' ';"));
+  // An escaped quote does not end the literal, and a quote inside a
+  // comment does not start one.
+  EXPECT_NE(snippet_digest("p = \"\\\"  x\";"), snippet_digest("p = \"\\\" x\";"));
+  EXPECT_EQ(snippet_digest("x = 1; /* don't */  y = 2;"),
+            snippet_digest("x = 1; /* don't */ y = 2;"));
+}
+
 TEST(SnippetDigest, NeverReturnsTheReservedZero) {
   EXPECT_NE(snippet_digest(""), 0u);
   EXPECT_NE(snippet_digest("   \n\t  "), 0u);

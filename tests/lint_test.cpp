@@ -8,6 +8,10 @@
 #include <sstream>
 #include <string>
 
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
+
 #include "codegen/families.h"
 #include "codegen/generator.h"
 #include "frontend/parser.h"
@@ -444,6 +448,30 @@ TEST(LintAudit, JsonReportRoundTrips) {
   EXPECT_EQ(static_cast<std::size_t>(doc.at("bugs_caught").as_int()),
             report.bugs_caught);
   EXPECT_EQ(doc.at("rows").size(), report.linted);
+}
+
+TEST(LintAudit, ReportIsIdenticalAtOneAndFourThreads) {
+#if !defined(_OPENMP)
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  codegen::GeneratorConfig config;
+  config.size = 300;
+  config.seed = 29;
+  config.label_noise = 0.0;
+  config.buggy_directive_rate = 0.3;
+  config.simd_families = true;
+  const corpus::Corpus corpus = codegen::generate_corpus(config);
+
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const AuditReport serial = audit_labels(corpus);
+  omp_set_num_threads(4);
+  const AuditReport team = audit_labels(corpus);
+  omp_set_num_threads(saved);
+
+  EXPECT_GT(serial.seeded_bugs, 0u);
+  EXPECT_EQ(team.to_json().dump(), serial.to_json().dump());
+#endif
 }
 
 // --- omp simd rule family ----------------------------------------------------------

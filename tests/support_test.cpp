@@ -4,7 +4,12 @@
 #include <set>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "support/cli.h"
 #include "support/csv.h"
@@ -301,6 +306,78 @@ TEST(Parallel, ZeroIterationsIsANoop) {
   bool ran = false;
   parallel_for(0, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+/// Pins the OpenMP team size for one test and restores it after.
+class TeamSize {
+ public:
+  explicit TeamSize([[maybe_unused]] int threads) {
+#if defined(_OPENMP)
+    omp_set_num_threads(threads);
+#endif
+  }
+  ~TeamSize() {
+#if defined(_OPENMP)
+    omp_set_num_threads(saved_);
+#endif
+  }
+
+ private:
+  int saved_ = hardware_threads();
+};
+
+TEST(ParallelDynamic, VisitsEveryIndexExactlyOnce) {
+  for (const int threads : {1, 4}) {
+    const TeamSize team(threads);
+    std::vector<std::atomic<int>> hits(300);
+    parallel_for_dynamic(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << threads << " threads";
+  }
+}
+
+TEST(ParallelDynamic, FewerThanTwoIndicesRunInline) {
+  const TeamSize team(4);
+  obs::set_enabled(true);
+  obs::metrics().reset();
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  parallel_for_dynamic(0, [&](std::size_t) { ++calls; });
+  parallel_for_dynamic(1, [&](std::size_t i) {
+    ++calls;
+    EXPECT_EQ(i, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+#if defined(_OPENMP)
+    EXPECT_FALSE(omp_in_parallel());
+#endif
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(obs::metrics().counter("clpp.parallel.loops_serial").value(), 2u);
+  EXPECT_EQ(obs::metrics().counter("clpp.parallel.loops_parallel").value(), 0u);
+#if defined(_OPENMP)
+  // Two indices are enough to start the team.
+  parallel_for_dynamic(2, [](std::size_t) {});
+  EXPECT_EQ(obs::metrics().counter("clpp.parallel.loops_parallel").value(), 1u);
+#endif
+  obs::set_enabled(false);
+}
+
+TEST(ParallelDynamic, RethrowsTheLowestIndexExceptionAfterEveryIndexRan) {
+  for (const int threads : {1, 4}) {
+    const TeamSize team(threads);
+    std::vector<std::atomic<int>> hits(64);
+    try {
+      parallel_for_dynamic(hits.size(), [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        // Index 2 throws last in time on a team, yet its exception wins.
+        if (i == 2) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        if (i == 2 || i == 9 || i == 63) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception rethrown at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "2") << threads << " threads";
+    }
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << threads << " threads";
+  }
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {
