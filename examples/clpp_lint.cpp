@@ -17,9 +17,10 @@
 //   clpp-lint --audit-model     train a small transformer advisor, lint its
 //                               predicted directives (model-vs-linter)
 //
-// Input files, and --audit records, are linted on one OpenMP team, one unit
-// per file or record; OMP_NUM_THREADS=1 runs serially. Output is printed in
-// input order and is byte-identical at any thread count.
+// Input files are linted on one OpenMP team, one unit per file, that leaves
+// one processor free; OMP_NUM_THREADS=1 runs serially, and --audit lints its
+// records serially. Output is printed in input order and is byte-identical
+// at any thread count.
 //
 // Exit status: 0 = no errors, 1 = at least one error finding, 2 = failure.
 #include <fstream>

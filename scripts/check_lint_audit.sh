@@ -5,10 +5,10 @@
 # zero-false-positive bar reachable (the seed engine's conservative bails
 # on linearized matmul subscripts used to flag clean loops); this gate
 # keeps both properties from regressing (tests/lint_test.cpp LintAudit and
-# LintAuditSimd suites, continuously enforced). clpp-lint lints files and
-# audit records on an OpenMP team, so the gate also diffs the --audit
-# --json report and `clpp-lint --json corpus/realworld/*.c` between
-# OMP_NUM_THREADS=1 and the default team: any byte difference fails.
+# LintAuditSimd suites, continuously enforced). clpp-lint lints input files
+# on an OpenMP team, so the gate also diffs `clpp-lint --json
+# corpus/realworld/*.c` between OMP_NUM_THREADS=1 and the default team: any
+# byte difference fails.
 #
 #   $ scripts/check_lint_audit.sh
 #   $ SIZE=1000 BUGGY=0.25 scripts/check_lint_audit.sh
@@ -38,22 +38,18 @@ fi
 # team, byte for byte, exit code included.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-same_at_one_thread() {
-  what=$1
-  shift
-  team_rc=0
-  env -u OMP_NUM_THREADS "$BUILD_DIR/examples/clpp-lint" "$@" > "$tmp/team" || team_rc=$?
-  serial_rc=0
-  OMP_NUM_THREADS=1 "$BUILD_DIR/examples/clpp-lint" "$@" > "$tmp/serial" || serial_rc=$?
-  if ! cmp -s "$tmp/team" "$tmp/serial" || [ "$team_rc" != "$serial_rc" ]; then
-    echo "check_lint_audit: $what differs between OMP_NUM_THREADS=1 (rc=$serial_rc)" \
-         "and the default team (rc=$team_rc)" >&2
-    exit 1
-  fi
-  echo "$what: identical at OMP_NUM_THREADS=1 and the default team (rc=$team_rc)"
-}
-same_at_one_thread "--audit --json" --audit --json --size "$SIZE" --buggy "$BUGGY"
-same_at_one_thread "--json corpus/realworld/*.c" --json corpus/realworld/*.c
+team_rc=0
+env -u OMP_NUM_THREADS "$BUILD_DIR/examples/clpp-lint" --json corpus/realworld/*.c \
+  > "$tmp/team" || team_rc=$?
+serial_rc=0
+OMP_NUM_THREADS=1 "$BUILD_DIR/examples/clpp-lint" --json corpus/realworld/*.c \
+  > "$tmp/serial" || serial_rc=$?
+if ! cmp -s "$tmp/team" "$tmp/serial" || [ "$team_rc" != "$serial_rc" ]; then
+  echo "check_lint_audit: --json corpus/realworld/*.c differs between" \
+       "OMP_NUM_THREADS=1 (rc=$serial_rc) and the default team (rc=$team_rc)" >&2
+  exit 1
+fi
+echo "--json corpus/realworld/*.c: identical at OMP_NUM_THREADS=1 and the default team (rc=$team_rc)"
 
 echo "$report" | python3 -c '
 import json, sys

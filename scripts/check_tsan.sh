@@ -6,11 +6,11 @@
 # workers, backpressure, drain-on-shutdown, sharded histograms under
 # concurrent writers, flight-recorder rings, the metrics streamer thread,
 # the shard supervisor/listener — single-threaded by design, which TSan
-# verifies holds across worker forks and crash recovery — and the lint
-# audit, whose records are linted on an OpenMP team). libgomp is not
-# instrumented; support/parallel.h publishes each team's fork and join to
-# TSan itself. TSan is mutually exclusive with ASan/UBSan, hence a separate
-# build tree from check_sanitize.sh.
+# verifies holds across worker forks and crash recovery — and the linter,
+# which clpp-lint shares across an OpenMP team that lints its input
+# files). libgomp is not instrumented; support/parallel.h publishes each
+# team's fork and join to TSan itself. TSan is mutually exclusive with
+# ASan/UBSan, hence a separate build tree from check_sanitize.sh.
 #
 #   $ scripts/check_tsan.sh
 #   $ CTEST_ARGS="--repeat until-fail:5" scripts/check_tsan.sh

@@ -1,12 +1,10 @@
 #include "lint/audit.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "frontend/parser.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "support/parallel.h"
 
 namespace clpp::lint {
 
@@ -45,16 +43,6 @@ template <typename DirectiveOf>
 AuditReport run_audit(const corpus::Corpus& corpus, const Linter& linter,
                       std::string subject, const DirectiveOf& directive_of) {
   CLPP_TRACE_SPAN("lint.audit");
-  // Records are independent units: lint them on one team, one report per
-  // slot (nullopt = nothing to lint), then aggregate in record order.
-  std::vector<std::optional<LintReport>> linted(corpus.size());
-  parallel_for_dynamic(corpus.size(), [&](std::size_t i) {
-    const std::string directive = directive_of(i);
-    if (directive.empty()) return;
-    const corpus::Record& record = corpus.at(i);
-    linted[i] = lint_record(linter, directive, record.code, record.id);
-  });
-
   AuditReport report;
   report.subject = std::move(subject);
   report.records = corpus.size();
@@ -66,14 +54,15 @@ AuditReport run_audit(const corpus::Corpus& corpus, const Linter& linter,
     row.id = record.id;
     row.family = record.family;
     row.bug = record.bug;
-    if (!linted[i]) {
+    const std::string directive = directive_of(i);
+    if (directive.empty()) {
       report.rows.push_back(std::move(row));
       continue;
     }
 
     row.linted = true;
     ++report.linted;
-    const LintReport& lint = *linted[i];
+    const LintReport lint = lint_record(linter, directive, record.code, record.id);
     row.errors = lint.errors();
     row.warnings = lint.warnings();
     for (const Diagnostic& d : lint.diagnostics) {

@@ -1,11 +1,12 @@
 // OpenMP-backed parallel loop helpers.
 //
 // CLPP dogfoods the shared-memory parallelism it studies: GEMM, batched
-// inference and clpp-lint's loop over files and audit records use these
-// helpers, which degrade gracefully to serial execution when the compiler
-// has no OpenMP support.
+// inference and clpp-lint's loop over input files use these helpers, which
+// degrade gracefully to serial execution when the compiler has no OpenMP
+// support.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -88,13 +89,27 @@ CLPP_TEAM_FUNCTION void parallel_for(std::size_t n, const Body& body,
   for (std::size_t i = 0; i < n; ++i) body(i);
 }
 
-/// parallel_for for a few hundred coarse, uneven units (input files, audit
-/// records): indices are handed out one at a time (schedule(dynamic, 1)),
-/// so a slow unit, or a team member the host preempts, cannot strand a
-/// static share behind it. n < 2 runs inline without touching the OpenMP
-/// runtime, and one thread runs serially. Every index runs even when some
-/// throw; the exception of the lowest throwing index is rethrown after the
-/// join, so no exception escapes a team member into std::terminate.
+/// Team size of parallel_for_dynamic: OpenMP's default, capped at one less
+/// than the processors available, and at least 1. A pass is one region
+/// that ends at a join, so a team member preempted by other work on its
+/// processor (kernel threads, other processes) holds up the whole pass;
+/// the free processor takes that work instead.
+inline int dynamic_team_size() {
+#if defined(_OPENMP)
+  return std::max(1, std::min(omp_get_max_threads(), omp_get_num_procs() - 1));
+#else
+  return 1;
+#endif
+}
+
+/// parallel_for for a few hundred coarse, uneven units (input files):
+/// indices are handed out one at a time (schedule(dynamic, 1)), so a slow
+/// unit, or a team member the host preempts, cannot strand a static share
+/// behind it. The team has dynamic_team_size() threads. n < 2, or a team of
+/// one, runs inline without touching the OpenMP runtime. Every index runs
+/// even when some throw; the exception of the lowest throwing index is
+/// rethrown after the join, so no exception escapes a team member into
+/// std::terminate.
 template <typename Body>
 CLPP_TEAM_FUNCTION void parallel_for_dynamic(std::size_t n, const Body& body) {
   std::mutex error_mu;
@@ -112,12 +127,13 @@ CLPP_TEAM_FUNCTION void parallel_for_dynamic(std::size_t n, const Body& body) {
     }
   };
 #if defined(_OPENMP)
-  if (n >= 2 && omp_get_max_threads() > 1) {
-    obs::record_parallel_loop(n, omp_get_max_threads());
+  const int threads = n >= 2 ? dynamic_team_size() : 1;
+  if (threads > 1) {
+    obs::record_parallel_loop(n, threads);
     const std::int64_t count = static_cast<std::int64_t>(n);
     char team = 0;
     detail::team_release(&team);
-#pragma omp parallel
+#pragma omp parallel num_threads(threads)
     {
       detail::team_acquire(&team);
       if (omp_get_thread_num() != 0) obs::name_worker_thread();

@@ -7,10 +7,7 @@
 #include <set>
 #include <sstream>
 #include <string>
-
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
+#include <vector>
 
 #include "codegen/families.h"
 #include "codegen/generator.h"
@@ -18,6 +15,7 @@
 #include "lint/audit.h"
 #include "lint/explain.h"
 #include "lint/linter.h"
+#include "support/parallel.h"
 
 namespace clpp::lint {
 namespace {
@@ -450,30 +448,6 @@ TEST(LintAudit, JsonReportRoundTrips) {
   EXPECT_EQ(doc.at("rows").size(), report.linted);
 }
 
-TEST(LintAudit, ReportIsIdenticalAtOneAndFourThreads) {
-#if !defined(_OPENMP)
-  GTEST_SKIP() << "built without OpenMP";
-#else
-  codegen::GeneratorConfig config;
-  config.size = 300;
-  config.seed = 29;
-  config.label_noise = 0.0;
-  config.buggy_directive_rate = 0.3;
-  config.simd_families = true;
-  const corpus::Corpus corpus = codegen::generate_corpus(config);
-
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const AuditReport serial = audit_labels(corpus);
-  omp_set_num_threads(4);
-  const AuditReport team = audit_labels(corpus);
-  omp_set_num_threads(saved);
-
-  EXPECT_GT(serial.seeded_bugs, 0u);
-  EXPECT_EQ(team.to_json().dump(), serial.to_json().dump());
-#endif
-}
-
 // --- omp simd rule family ----------------------------------------------------------
 
 TEST(LintSimd, UnitDistanceDependenceIsAnError) {
@@ -673,6 +647,30 @@ TEST(LintRealworld, AnnotatedKernelsLintClean) {
     EXPECT_EQ(report.errors(), 0u) << name << "\n" << report.to_text();
     EXPECT_GE(report.loops_checked, 1u) << name;
   }
+}
+
+TEST(LintRealworld, ReportsOnATeamMatchSerialReports) {
+  // clpp-lint lints its input files on one team that shares one Linter.
+  std::vector<std::string> sources;
+  for (const char* name :
+       {"atax.c", "gemm.c", "gemver.c", "jacobi-1d.c", "mvt.c", "non_parallel.c"}) {
+    std::ifstream in(std::string(CLPP_REALWORLD_DIR) + "/" + name);
+    ASSERT_TRUE(in.good()) << name;
+    std::ostringstream text;
+    text << in.rdbuf();
+    sources.push_back(text.str());
+  }
+  const Linter linter;
+  std::vector<std::string> serial;
+  for (const std::string& source : sources)
+    serial.push_back(linter.lint_source(source).to_json().dump());
+
+  std::vector<std::string> team(sources.size() * 8);
+  parallel_for_dynamic(team.size(), [&](std::size_t i) {
+    team[i] = linter.lint_source(sources[i % sources.size()]).to_json().dump();
+  });
+  for (std::size_t i = 0; i < team.size(); ++i)
+    EXPECT_EQ(team[i], serial[i % sources.size()]) << "unit " << i;
 }
 
 TEST(LintExplain, RealworldLoopsAllNameTheirDecidingTests) {

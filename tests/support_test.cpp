@@ -3,8 +3,10 @@
 
 #include <set>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -353,12 +355,35 @@ TEST(ParallelDynamic, FewerThanTwoIndicesRunInline) {
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(obs::metrics().counter("clpp.parallel.loops_serial").value(), 2u);
   EXPECT_EQ(obs::metrics().counter("clpp.parallel.loops_parallel").value(), 0u);
-#if defined(_OPENMP)
-  // Two indices are enough to start the team.
+  // Two indices are enough to start a team of two or more.
   parallel_for_dynamic(2, [](std::size_t) {});
-  EXPECT_EQ(obs::metrics().counter("clpp.parallel.loops_parallel").value(), 1u);
-#endif
+  EXPECT_EQ(obs::metrics().counter("clpp.parallel.loops_parallel").value(),
+            dynamic_team_size() > 1 ? 1u : 0u);
   obs::set_enabled(false);
+}
+
+TEST(ParallelDynamic, TeamLeavesOneProcessorFree) {
+#if !defined(_OPENMP)
+  EXPECT_EQ(dynamic_team_size(), 1);
+#else
+  const int procs = omp_get_num_procs();
+  const int cap = std::max(1, procs - 1);
+  {
+    const TeamSize team(procs + 1);
+    EXPECT_EQ(dynamic_team_size(), cap);
+    std::mutex mu;
+    std::set<std::thread::id> members;
+    parallel_for_dynamic(64, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      const std::lock_guard<std::mutex> lock(mu);
+      members.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(members.size(), static_cast<std::size_t>(cap));
+  }
+  // A one-thread OpenMP default still runs serially.
+  const TeamSize one(1);
+  EXPECT_EQ(dynamic_team_size(), 1);
+#endif
 }
 
 TEST(ParallelDynamic, RethrowsTheLowestIndexExceptionAfterEveryIndexRan) {
