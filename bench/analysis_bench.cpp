@@ -1,9 +1,9 @@
 // Dependence-engine and lint throughput (google-benchmark).
 //
-// The v2 engine (analysis/ddtest.h) does strictly more work per access
-// pair than the seed SIV test — direction/distance vectors per nest level,
-// GCD + Banerjee interval bounds per direction class — so this harness
-// tracks what that costs on the two inputs that matter: the generated
+// The dependence engine (analysis/ddtest.h) computes direction/distance
+// vectors per nest level and GCD + Banerjee interval bounds per direction
+// class for every access pair, so this harness tracks what that costs on
+// the two inputs that matter: the generated
 // corpus the audit gate lints on every CI run, and the hand-verified
 // corpus/realworld/ kernels (gemm's imperfect nest with linearized
 // subscripts is the stress case). Exported by run_benches.sh into
@@ -58,11 +58,10 @@ struct RealworldLoops {
   }
 };
 
-/// One analyzer pass over every realworld loop; `exact` picks the engine.
+/// One analyzer pass over every realworld loop.
 void BM_AnalyzeRealworld(benchmark::State& state) {
   static const RealworldLoops fixtures;
-  analysis::AnalyzerOptions options;
-  options.exact_dependence_engine = state.range(0) != 0;
+  const analysis::AnalyzerOptions options;
   std::size_t verdicts = 0;
   for (auto _ : state) {
     const frontend::Node* last_unit = nullptr;
@@ -79,9 +78,8 @@ void BM_AnalyzeRealworld(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(verdicts));
-  state.SetLabel(state.range(0) != 0 ? "v2" : "seed-engine");
 }
-BENCHMARK(BM_AnalyzeRealworld)->Arg(1)->Arg(0);
+BENCHMARK(BM_AnalyzeRealworld);
 
 /// Raw NestContext construction + pair testing on the linearized-gemm form
 /// that exercises the identical-subscript rule and Banerjee bounds.

@@ -125,8 +125,8 @@ AffineForm analyze_affine(const Node& expr, const SubscriptEnv& env) {
   }
   // Loop-invariant but non-affine subtree (n*m, f(n), c[k] with invariant
   // k...): usable as one opaque symbol keyed by printed text — it cancels
-  // against a textually identical subtree, the same-text rule the seed
-  // engine applied. Mutated names or quantified vars inside disqualify it.
+  // against a textually identical subtree. Mutated names or quantified vars
+  // inside disqualify it.
   if (!mentions_outside(expr, env) && !has_assignment(expr)) {
     AffineForm f;
     f.affine = true;
@@ -144,7 +144,6 @@ const char* dep_test_name(DepTest test) {
     case DepTest::kGcd: return "gcd";
     case DepTest::kBanerjee: return "banerjee";
     case DepTest::kTextPinned: return "text-pinned";
-    case DepTest::kLegacySiv: return "legacy-siv";
     case DepTest::kScalar: return "scalar-recurrence";
   }
   return "unknown";

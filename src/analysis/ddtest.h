@@ -1,9 +1,8 @@
 // Exact data-dependence testing over affine loop nests (engine v2).
 //
-// The seed engine compared one subscript against one induction variable and
-// degraded to "unknown" on strides, scaled coefficients, multi-variable
-// subscripts (a*i + b*j + c), and imperfect nests. This module replaces the
-// per-dimension comparison with a dependence-equation solver:
+// Strides, scaled coefficients, multi-variable subscripts (a*i + b*j + c)
+// and imperfect nests all stay exact, because every access pair goes
+// through a dependence-equation solver:
 //
 //   * every access site is located on its chain of enclosing canonical
 //     loops (the analyzed loop at depth 0);
@@ -64,8 +63,8 @@ struct SubscriptEnv {
 
 /// Analyzes `expr` as an affine function over `env.vars`. Loop-invariant
 /// subtrees (no vars, no mutated names) that are not otherwise affine fold
-/// into a single opaque symbol keyed by their printed text, matching the
-/// seed engine's same-text cancellation rule.
+/// into a single opaque symbol keyed by their printed text, so they cancel
+/// only against a textually identical subtree.
 AffineForm analyze_affine(const frontend::Node& expr, const SubscriptEnv& env);
 
 /// Direction classes of one nest level, as a bitmask over the sign of
@@ -102,12 +101,11 @@ enum class DepTest {
   kGcd,           // divisibility of the constant by the coefficient gcd
   kBanerjee,      // interval bounds on the dependence equation
   kTextPinned,    // identical-subscript rule pinned levels to `=`
-  kLegacySiv,     // seed per-dimension engine (exact_dependence_engine off)
   kScalar,        // scalar recurrence reasoning, not a subscript test
 };
 
 /// Human-readable name ("ziv", "strong-siv", "gcd", "banerjee",
-/// "text-pinned", "conservative", "legacy-siv", "scalar").
+/// "text-pinned", "conservative", "scalar-recurrence").
 const char* dep_test_name(DepTest test);
 
 /// Result of testing one pair of accesses to the same array.

@@ -26,15 +26,6 @@ bool mentions(const Node& expr, const std::string& name) {
   return found;
 }
 
-Dependence array_dep(std::string name, std::string detail, int line, int column) {
-  Dependence d;
-  d.variable = std::move(name);
-  d.detail = std::move(detail);
-  d.line = line;
-  d.column = column;
-  return d;
-}
-
 /// Printed form of one access, e.g. "A[i][j + 1]".
 std::string access_text(const Access& a) {
   std::string out = a.variable;
@@ -65,7 +56,6 @@ void count_decision(DepTest test) {
   static obs::Counter& gcd = m.counter("clpp.ddtest.gcd");
   static obs::Counter& banerjee = m.counter("clpp.ddtest.banerjee");
   static obs::Counter& text_pinned = m.counter("clpp.ddtest.text_pinned");
-  static obs::Counter& legacy_siv = m.counter("clpp.ddtest.legacy_siv");
   static obs::Counter& scalar = m.counter("clpp.ddtest.scalar");
   pairs.add(1);
   switch (test) {
@@ -75,7 +65,6 @@ void count_decision(DepTest test) {
     case DepTest::kGcd: gcd.add(1); break;
     case DepTest::kBanerjee: banerjee.add(1); break;
     case DepTest::kTextPinned: text_pinned.add(1); break;
-    case DepTest::kLegacySiv: legacy_siv.add(1); break;
     case DepTest::kScalar: scalar.add(1); break;
   }
 }
@@ -100,96 +89,6 @@ std::string provenance_text(const PairProvenance& provenance) {
     out += ", distance " + std::to_string(*provenance.distance);
   if (!provenance.exact) out += " (conservative)";
   return out;
-}
-
-Affine analyze_subscript(const Node& expr, const std::string& induction) {
-  // Literal constant.
-  if (auto value = literal_value(expr)) {
-    return Affine{Affine::Kind::kAffine, 0, *value, {}};
-  }
-  // The induction variable itself.
-  if (expr.kind == NodeKind::kID) {
-    if (expr.text == induction) return Affine{Affine::Kind::kAffine, 1, 0, {}};
-    return Affine{Affine::Kind::kInvariant, 0, 0, expr.text};
-  }
-  if (!mentions(expr, induction)) {
-    return Affine{Affine::Kind::kInvariant, 0, 0, frontend::print_expression(expr)};
-  }
-  if (expr.kind == NodeKind::kBinaryOp) {
-    // Loop-invariant operands become affine terms with a symbolic addend,
-    // so `c - i` / `i + c` stay exactly testable (coeff ±1, symbol `c`).
-    auto promote = [](const Affine& a) {
-      if (a.kind != Affine::Kind::kInvariant) return a;
-      return Affine{Affine::Kind::kAffine, 0, 0, a.invariant_text, +1};
-    };
-    const Affine lhs = promote(analyze_subscript(expr.child(0), induction));
-    const Affine rhs = promote(analyze_subscript(expr.child(1), induction));
-    const bool both_affine =
-        lhs.kind == Affine::Kind::kAffine && rhs.kind == Affine::Kind::kAffine;
-    if ((expr.text == "+" || expr.text == "-") && both_affine) {
-      const int rhs_flip = expr.text == "+" ? 1 : -1;
-      // At most one symbolic addend survives; two distinct symbols (or the
-      // same symbol that does not cancel) would need symbolic arithmetic.
-      std::string symbol;
-      int sign = 0;
-      if (lhs.symbol_sign != 0 && rhs.symbol_sign != 0) return Affine{};  // complex
-      if (lhs.symbol_sign != 0) {
-        symbol = lhs.invariant_text;
-        sign = lhs.symbol_sign;
-      } else if (rhs.symbol_sign != 0) {
-        symbol = rhs.invariant_text;
-        sign = rhs.symbol_sign * rhs_flip;
-      }
-      return Affine{Affine::Kind::kAffine, lhs.coeff + rhs_flip * rhs.coeff,
-                    lhs.offset + rhs_flip * rhs.offset, std::move(symbol), sign};
-    }
-    if (expr.text == "*" && both_affine) {
-      // One side must be a pure constant (no symbol) for the product to
-      // stay affine; scaling a symbolic addend is not representable.
-      if (lhs.coeff == 0 && lhs.symbol_sign == 0 && rhs.symbol_sign == 0)
-        return Affine{Affine::Kind::kAffine, lhs.offset * rhs.coeff,
-                      lhs.offset * rhs.offset, {}};
-      if (rhs.coeff == 0 && rhs.symbol_sign == 0 && lhs.symbol_sign == 0)
-        return Affine{Affine::Kind::kAffine, lhs.coeff * rhs.offset,
-                      lhs.offset * rhs.offset, {}};
-    }
-    return Affine{};  // complex
-  }
-  if (expr.kind == NodeKind::kUnaryOp && expr.text == "-") {
-    const Affine inner = analyze_subscript(expr.child(0), induction);
-    if (inner.kind == Affine::Kind::kAffine)
-      return Affine{Affine::Kind::kAffine, -inner.coeff, -inner.offset,
-                    inner.invariant_text, -inner.symbol_sign};
-  }
-  if (expr.kind == NodeKind::kUnaryOp && expr.text == "+")
-    return analyze_subscript(expr.child(0), induction);
-  return Affine{};  // complex
-}
-
-DimRelation compare_dimension(const Affine& a, const Affine& b) {
-  using K = Affine::Kind;
-  if (a.kind == K::kComplex || b.kind == K::kComplex) return DimRelation::kUnknown;
-  if (a.kind == K::kInvariant && b.kind == K::kInvariant) {
-    // Same loop-invariant expression selects the same element every
-    // iteration -> carried if anyone writes; different texts -> unknown
-    // aliasing, stay conservative.
-    return a.invariant_text == b.invariant_text ? DimRelation::kCarried
-                                                : DimRelation::kUnknown;
-  }
-  if (a.kind == K::kInvariant || b.kind == K::kInvariant) return DimRelation::kUnknown;
-  // Both affine. Symbolic addends must agree exactly (same text, same sign)
-  // for the constant-distance test to hold; otherwise aliasing is unknown.
-  if (a.symbol_sign != b.symbol_sign ||
-      (a.symbol_sign != 0 && a.invariant_text != b.invariant_text))
-    return DimRelation::kUnknown;
-  if (a.coeff == 0 && b.coeff == 0)
-    return a.offset == b.offset ? DimRelation::kCarried : DimRelation::kDisjoint;
-  if (a.coeff != b.coeff) return DimRelation::kUnknown;
-  // Equal non-zero coefficients: distance = (b.offset - a.offset) / coeff.
-  const long long diff = b.offset - a.offset;
-  if (diff == 0) return DimRelation::kSameIterationOnly;
-  if (diff % a.coeff == 0) return DimRelation::kCarried;
-  return DimRelation::kDisjoint;
 }
 
 DependenceAnalyzer::DependenceAnalyzer(const SideEffectOracle& oracle,
@@ -249,6 +148,9 @@ LoopVerdict DependenceAnalyzer::analyze(const Node& loop) const {
         verdict.notes.push_back("calls allocator '" + callee + "'");
         return verdict;
       case CallEffect::kWritesArgs:
+        // Serial without testing a pair: a conservative answer, not a proof.
+        // Not a bail, which S2S would count as a compile failure.
+        verdict.conservative = true;
         verdict.notes.push_back("call to '" + callee + "' may write shared memory");
         return verdict;
       case CallEffect::kUnknown:
@@ -262,7 +164,7 @@ LoopVerdict DependenceAnalyzer::analyze(const Node& loop) const {
     }
   }
 
-  analyze_arrays(loop, canonical->induction, accesses, verdict);
+  analyze_arrays(loop, accesses, verdict);
   analyze_scalars(body, canonical->induction, accesses, verdict);
 
   if (!verdict.dependences.empty()) {
@@ -278,23 +180,14 @@ LoopVerdict DependenceAnalyzer::analyze(const Node& loop) const {
     return verdict;
   }
 
-  if (options_.suggest_dynamic_schedule && has_conditional_work(body))
-    verdict.schedule_hint = frontend::ScheduleKind::kDynamic;
-
   verdict.parallelizable = true;
   return verdict;
 }
 
-void DependenceAnalyzer::analyze_arrays(const Node& loop, const std::string& induction,
-                                        const AccessSet& accesses,
+void DependenceAnalyzer::analyze_arrays(const Node& loop, const AccessSet& accesses,
                                         LoopVerdict& verdict) const {
-  if (!options_.exact_dependence_engine) {
-    analyze_arrays_legacy(induction, accesses, verdict);
-    return;
-  }
-
-  // v2 exact engine: direction/distance vectors per access pair over the
-  // whole canonical nest (see ddtest.h).
+  // Direction/distance vectors per access pair over the whole canonical
+  // nest (see ddtest.h).
   const NestContext nest(loop);
 
   std::map<std::string, std::vector<const Access*>> arrays;
@@ -331,8 +224,11 @@ void DependenceAnalyzer::analyze_arrays(const Node& loop, const std::string& ind
           prov.exact = false;
           prov.line = dep_line;
           verdict.pair_provenance.push_back(std::move(prov));
-          Dependence mismatch = array_dep(
-              name, "accesses with different dimensionality", dep_line, dep_column);
+          Dependence mismatch;
+          mismatch.variable = name;
+          mismatch.detail = "accesses with different dimensionality";
+          mismatch.line = dep_line;
+          mismatch.column = dep_column;
           mismatch.deciding_test = dep_test_name(DepTest::kConservative);
           verdict.dependences.push_back(std::move(mismatch));
           reported = true;
@@ -370,94 +266,6 @@ void DependenceAnalyzer::analyze_arrays(const Node& loop, const std::string& ind
         reported = true;
         break;
       }
-    }
-  }
-}
-
-void DependenceAnalyzer::analyze_arrays_legacy(const std::string& induction,
-                                               const AccessSet& accesses,
-                                               LoopVerdict& verdict) const {
-  // Group array accesses by base variable.
-  std::map<std::string, std::vector<const Access*>> arrays;
-  for (const Access& a : accesses.accesses)
-    if (a.is_array) arrays[a.variable].push_back(&a);
-
-  for (const auto& [name, list] : arrays) {
-    const bool any_write =
-        std::any_of(list.begin(), list.end(), [](const Access* a) { return a->is_write; });
-    if (!any_write) continue;
-
-    for (const Access* w : list) {
-      if (!w->is_write) continue;
-      const int dep_line = w->site ? w->site->line : 0;
-      const int dep_column = w->site ? w->site->column : 0;
-      for (const Access* other : list) {
-        if (other == w) continue;
-        ++verdict.dep_pairs_tested;
-        // Dimension-by-dimension comparison. Unequal ranks (A[i] vs A[i][j])
-        // is aliasing we do not model: treat as unknown.
-        if (w->subscripts.size() != other->subscripts.size()) {
-          ++verdict.dep_pairs_unknown;
-          count_decision(DepTest::kConservative);
-          verdict.dependences.push_back(array_dep(
-              name, "accesses with different dimensionality", dep_line, dep_column));
-          verdict.dependences.back().deciding_test =
-              dep_test_name(DepTest::kConservative);
-          break;
-        }
-        bool disjoint = false;
-        bool same_iteration_only = false;
-        bool carried = false;
-        bool unknown = false;
-        for (std::size_t d = 0; d < w->subscripts.size(); ++d) {
-          const Affine wa = analyze_subscript(*w->subscripts[d], induction);
-          const Affine oa = analyze_subscript(*other->subscripts[d], induction);
-          switch (compare_dimension(wa, oa)) {
-            case DimRelation::kDisjoint: disjoint = true; break;
-            case DimRelation::kCarried: carried = true; break;
-            case DimRelation::kUnknown: unknown = true; break;
-            case DimRelation::kSameIterationOnly: same_iteration_only = true; break;
-          }
-        }
-        if (unknown) ++verdict.dep_pairs_unknown;
-        const DepTest decided =
-            unknown ? DepTest::kConservative : DepTest::kLegacySiv;
-        count_decision(decided);
-        PairProvenance prov;
-        prov.array = name;
-        prov.src_text = access_text(*w);
-        prov.snk_text = access_text(*other);
-        prov.test = dep_test_name(decided);
-        prov.possible = !disjoint;
-        prov.carried =
-            !disjoint && !same_iteration_only && (carried || unknown);
-        prov.exact = !unknown;
-        prov.line = dep_line;
-        verdict.pair_provenance.push_back(std::move(prov));
-        // The accesses collide on iterations (i1, i2) only if EVERY
-        // dimension matches. A disjoint dimension rules out collisions
-        // entirely; a same-iteration-only dimension rules out cross-
-        // iteration collisions no matter what the other dimensions do
-        // (e.g. A[i][j] += ... : dim 0 pins i1 == i2).
-        if (disjoint) continue;
-        if (same_iteration_only) continue;
-        if (unknown) {
-          verdict.dependences.push_back(array_dep(
-              name, "subscript too complex for dependence test", dep_line, dep_column));
-          verdict.dependences.back().deciding_test =
-              dep_test_name(DepTest::kConservative);
-          break;
-        }
-        if (carried) {
-          verdict.dependences.push_back(
-              array_dep(name, "loop-carried dependence", dep_line, dep_column));
-          verdict.dependences.back().deciding_test =
-              dep_test_name(DepTest::kLegacySiv);
-          break;
-        }
-      }
-      if (!verdict.dependences.empty() && verdict.dependences.back().variable == name)
-        break;
     }
   }
 }

@@ -4,10 +4,11 @@
 // canonical loop, decide whether any pair of accesses to the same array can
 // touch the same element on *different* iterations (a loop-carried
 // dependence), whether scalars can be privatized, and whether written
-// scalars follow a reduction idiom. Affine subscripts (a*i + b) get an
-// exact single-index test (ZIV/SIV class); everything else is handled
-// conservatively — which is precisely how Cetus-class compilers end up
-// with high precision and low recall.
+// scalars follow a reduction idiom. Array subscripts go through the exact
+// direction/distance engine of analysis/ddtest.h; hazards it cannot model
+// (unknown calls, pointer writes, struct access) are handled conservatively
+// — which is precisely how Cetus-class compilers end up with high
+// precision and low recall.
 #pragma once
 
 #include <optional>
@@ -22,42 +23,6 @@
 
 namespace clpp::analysis {
 
-/// Classification of a subscript expression relative to one induction var.
-///
-/// kAffine subscripts may additionally carry one symbolic loop-invariant
-/// addend (e.g. `c - i` is coeff = -1 with symbol `+c`, `i - c` is
-/// coeff = 1 with symbol `-c`): the distance test stays exact between two
-/// subscripts whose symbolic addends are textually identical with the same
-/// sign, and degrades to kUnknown otherwise.
-struct Affine {
-  enum class Kind {
-    kAffine,     // coeff * i + offset [+ sign*symbol] with literal coeff/offset
-    kInvariant,  // does not mention the induction variable
-    kComplex,    // mentions it non-affinely (i*i, a[i], f(i), i*j ...)
-  };
-  Kind kind = Kind::kComplex;
-  long long coeff = 0;
-  long long offset = 0;
-  std::string invariant_text;  // kInvariant: whole expr; kAffine: symbolic addend
-  int symbol_sign = 0;         // kAffine only: 0 = no symbolic addend, else ±1
-
-  bool operator==(const Affine&) const = default;
-};
-
-/// Analyzes `expr` as a function of `induction`.
-Affine analyze_subscript(const frontend::Node& expr, const std::string& induction);
-
-/// Relation between two accesses in one array dimension.
-enum class DimRelation {
-  kSameIterationOnly,  // equal exactly when iterations are equal
-  kDisjoint,           // never equal
-  kCarried,            // equal across distinct iterations
-  kUnknown,            // cannot tell — treat as carried
-};
-
-/// Compares one dimension of two subscript classifications.
-DimRelation compare_dimension(const Affine& a, const Affine& b);
-
 /// A detected (or suspected) loop-carried dependence, for diagnostics.
 /// `line`/`column` point at the access that triggered the report (0 when
 /// the snippet carries no position info, e.g. hand-built ASTs).
@@ -70,8 +35,8 @@ struct Dependence {
   /// Exact iteration distance at the analyzed loop's level, when the v2
   /// engine pinned it (strong SIV). Unset for conservative findings.
   std::optional<long long> distance;
-  /// Direction vector indexed by nest depth, e.g. "(<, =)"; empty when the
-  /// engine produced no level information (legacy engine, scalars).
+  /// Direction vector indexed by nest depth, e.g. "(<, =)"; empty for
+  /// scalar recurrences and rank-mismatched accesses (no level information).
   std::string direction;
   /// Provenance: name of the dependence test that decided this finding
   /// (dep_test_name of the deciding DepTest).
@@ -107,10 +72,10 @@ struct LoopVerdict {
   bool canonical = false;         // loop matched the canonical form
   bool parallelizable = false;    // no blocking dependence/hazard found
   bool bailed = false;            // analysis aborted on a hazard
+  bool conservative = false;      // judged serial by default, not by proof
   std::vector<std::string> notes; // human-readable reasons, in order found
   std::vector<Dependence> dependences;
   std::vector<std::string> private_candidates;   // scalars to privatize
-  frontend::ScheduleKind schedule_hint = frontend::ScheduleKind::kStatic;
   std::vector<frontend::Reduction> reductions;
   std::optional<long long> trip_count;
   std::string induction;
@@ -122,9 +87,9 @@ struct LoopVerdict {
   /// Per-pair decision provenance, in test order (clpp-lint --explain).
   std::vector<PairProvenance> pair_provenance;
 
-  /// True when every tested pair resolved exactly and nothing bailed: the
-  /// verdict is a proof, not a conservative default.
-  bool exact() const { return !bailed && dep_pairs_unknown == 0; }
+  /// True when every tested pair resolved exactly and nothing bailed or
+  /// fell back: the verdict is a proof, not a conservative default.
+  bool exact() const { return !bailed && !conservative && dep_pairs_unknown == 0; }
 };
 
 /// Personality knobs: each S2S compiler profile instantiates the analyzer
@@ -139,14 +104,8 @@ struct AnalyzerOptions {
   bool recognize_minmax_reduction = false;
   /// Recognize reductions at all (+/-/*).
   bool recognize_reduction = true;
-  /// Suggest schedule(dynamic) for bodies with conditional work.
-  bool suggest_dynamic_schedule = false;
   /// Loops with a static trip count below this are not worth parallelizing.
   long long min_trip_count = 0;
-  /// Use the v2 exact GCD+Banerjee direction/distance engine for array
-  /// dependences. False falls back to the seed per-subscript SIV test
-  /// (kept for precision comparisons; see EXPERIMENTS.md).
-  bool exact_dependence_engine = true;
 };
 
 /// Dependence analyzer bound to a snippet's side-effect oracle.
@@ -158,10 +117,8 @@ class DependenceAnalyzer {
   LoopVerdict analyze(const frontend::Node& loop) const;
 
  private:
-  void analyze_arrays(const frontend::Node& loop, const std::string& induction,
-                      const AccessSet& accesses, LoopVerdict& verdict) const;
-  void analyze_arrays_legacy(const std::string& induction, const AccessSet& accesses,
-                             LoopVerdict& verdict) const;
+  void analyze_arrays(const frontend::Node& loop, const AccessSet& accesses,
+                      LoopVerdict& verdict) const;
   void analyze_scalars(const frontend::Node& body, const std::string& induction,
                        const AccessSet& accesses, LoopVerdict& verdict) const;
 

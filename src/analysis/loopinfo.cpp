@@ -191,20 +191,4 @@ bool has_early_exit(const Node& body) {
   return found;
 }
 
-bool has_conditional_work(const Node& body) {
-  bool found = false;
-  frontend::walk(body, [&](const Node& node, int) {
-    if (node.kind != NodeKind::kIf) return;
-    // "Work" under the condition = a call or a nested loop in either branch.
-    for (std::size_t i = 1; i < node.children.size(); ++i) {
-      const Node& branch = node.child(i);
-      if (frontend::count_kind(branch, NodeKind::kFuncCall) > 0 ||
-          frontend::count_kind(branch, NodeKind::kFor) > 0 ||
-          frontend::count_kind(branch, NodeKind::kWhile) > 0)
-        found = true;
-    }
-  });
-  return found;
-}
-
 }  // namespace clpp::analysis

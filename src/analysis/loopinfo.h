@@ -44,8 +44,4 @@ std::optional<long long> literal_value(const frontend::Node& expr);
 /// flow that forbids worksharing.
 bool has_early_exit(const frontend::Node& body);
 
-/// True when the body contains an If/TernaryOp whose branches differ in
-/// weight (used for the schedule(dynamic) heuristic of Table 1 example 2).
-bool has_conditional_work(const frontend::Node& body);
-
 }  // namespace clpp::analysis

@@ -1,6 +1,5 @@
 #include "core/advisor.h"
 
-#include <fstream>
 #include <functional>
 #include <map>
 #include <numeric>
@@ -230,10 +229,8 @@ std::vector<Advice> ParallelAdvisor::advise_batch(const std::vector<std::string>
 
 namespace {
 
-// v2 appends the training-corpus fingerprint after the schedule flag; v1
-// files (no fingerprint) stay loadable.
+// Payload layout v2: the training-corpus fingerprint follows the schedule flag.
 constexpr char kAdvisorMagic[] = "CLPPADV2";
-constexpr char kAdvisorMagicV1[] = "CLPPADV1";
 
 Json config_to_json(const PragFormerConfig& config) {
   Json obj = Json::object();
@@ -316,16 +313,14 @@ void ParallelAdvisor::save(const std::string& path) const {
 namespace {
 
 ParallelAdvisor load_advisor_stream(std::istream& in, const std::string& path) {
-  const std::string magic = read_string(in);
-  if (magic != kAdvisorMagic && magic != kAdvisorMagicV1)
+  if (read_string(in) != kAdvisorMagic)
     throw ParseError("not a CLPP advisor file: " + path);
   const tokenize::Representation rep =
       tokenize::representation_from(read_string(in));
   const std::size_t max_len = static_cast<std::size_t>(read_u64(in));
   const bool has_schedule = read_u64(in) != 0;
-  insight::Fingerprint fingerprint;
-  if (magic == kAdvisorMagic)
-    fingerprint = insight::Fingerprint::from_json(Json::parse(read_string(in)));
+  insight::Fingerprint fingerprint =
+      insight::Fingerprint::from_json(Json::parse(read_string(in)));
   const std::uint64_t token_count = read_u64(in);
   if (token_count > 10'000'000) throw ParseError("implausible vocabulary size");
   std::vector<std::string> tokens;
@@ -346,14 +341,7 @@ ParallelAdvisor load_advisor_stream(std::istream& in, const std::string& path) {
 }  // namespace
 
 ParallelAdvisor ParallelAdvisor::load(const std::string& path) {
-  if (resil::is_container_file(path)) {
-    const std::string payload = resil::read_container(path);
-    std::istringstream in(payload);
-    return load_advisor_stream(in, path);
-  }
-  // Legacy (pre-container) advisor files stay loadable.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open advisor file: " + path);
+  std::istringstream in(resil::read_container(path));
   return load_advisor_stream(in, path);
 }
 

@@ -142,7 +142,7 @@ class ParallelAdvisor {
 
   /// Training-corpus feature fingerprint, the drift-detection reference
   /// checkpointed with the model (advisor container v2). Empty for advisors
-  /// loaded from v1 files or assembled without `train`.
+  /// assembled without `train`.
   const insight::Fingerprint& fingerprint() const { return fingerprint_; }
   void set_fingerprint(insight::Fingerprint fingerprint) {
     fingerprint_ = std::move(fingerprint);

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "analysis/sideeffects.h"
+#include "frontend/pragma.h"
 
 namespace clpp::lint {
 
@@ -16,21 +17,7 @@ void explain_loops(const Node& node, int for_depth,
                    std::vector<LoopExplanation>& out) {
   int child_depth = for_depth;
   if (node.kind == NodeKind::kFor) {
-    const analysis::LoopVerdict verdict = analyzer.analyze(node);
-    LoopExplanation loop;
-    loop.line = node.line;
-    loop.depth = for_depth;
-    loop.induction = verdict.induction;
-    loop.canonical = verdict.canonical;
-    loop.parallelizable = verdict.parallelizable;
-    loop.bailed = verdict.bailed;
-    loop.exact = verdict.exact();
-    loop.trip_count = verdict.trip_count;
-    loop.notes = verdict.notes;
-    loop.pairs = verdict.pair_provenance;
-    loop.private_candidates = verdict.private_candidates;
-    loop.reductions = verdict.reductions;
-    out.push_back(std::move(loop));
+    out.push_back({node.line, for_depth, analyzer.analyze(node)});
     child_depth = for_depth + 1;
   }
   for (const auto& child : node.children)
@@ -52,34 +39,33 @@ std::string render_explanations(const std::string& file,
                                 const std::vector<LoopExplanation>& loops) {
   std::string out = file + ": " + std::to_string(loops.size()) + " loop(s)\n";
   for (const LoopExplanation& loop : loops) {
+    const analysis::LoopVerdict& v = loop.verdict;
     const std::string indent(static_cast<std::size_t>(loop.depth) * 2, ' ');
     out += indent + "loop";
     if (loop.line > 0) out += " at line " + std::to_string(loop.line);
-    if (!loop.induction.empty()) out += " (induction " + loop.induction + ")";
+    if (!v.induction.empty()) out += " (induction " + v.induction + ")";
     out += ": ";
-    if (!loop.canonical)
+    if (!v.canonical)
       out += "non-canonical";
-    else if (loop.parallelizable)
+    else if (v.parallelizable)
       out += "parallelizable";
     else
       out += "serial";
-    if (loop.bailed) out += ", bailed";
-    if (loop.canonical) out += loop.exact ? ", exact proof" : ", conservative";
-    if (loop.trip_count)
-      out += ", trip count " + std::to_string(*loop.trip_count);
+    if (v.bailed) out += ", bailed";
+    if (v.canonical) out += v.exact() ? ", exact proof" : ", conservative";
+    if (v.trip_count) out += ", trip count " + std::to_string(*v.trip_count);
     out += '\n';
-    for (const analysis::PairProvenance& pair : loop.pairs)
+    for (const analysis::PairProvenance& pair : v.pair_provenance)
       out += indent + "  pair: " + analysis::provenance_text(pair) + '\n';
-    if (!loop.private_candidates.empty()) {
+    if (!v.private_candidates.empty()) {
       out += indent + "  private:";
-      for (const std::string& name : loop.private_candidates) out += ' ' + name;
+      for (const std::string& name : v.private_candidates) out += ' ' + name;
       out += '\n';
     }
-    for (const frontend::Reduction& r : loop.reductions)
+    for (const frontend::Reduction& r : v.reductions)
       out += indent + "  reduction: " + r.variable + " (" +
              frontend::reduction_op_name(r.op) + ")\n";
-    for (const std::string& note : loop.notes)
-      out += indent + "  note: " + note + '\n';
+    for (const std::string& note : v.notes) out += indent + "  note: " + note + '\n';
   }
   return out;
 }
@@ -91,18 +77,18 @@ Json explanations_json(const std::string& file,
   doc["file"] = file;
   Json items = Json::array();
   for (const LoopExplanation& loop : loops) {
+    const analysis::LoopVerdict& v = loop.verdict;
     Json item = Json::object();
     item["line"] = loop.line;
     item["depth"] = loop.depth;
-    item["induction"] = loop.induction;
-    item["canonical"] = loop.canonical;
-    item["parallelizable"] = loop.parallelizable;
-    item["bailed"] = loop.bailed;
-    item["exact"] = loop.exact;
-    if (loop.trip_count)
-      item["trip_count"] = static_cast<std::int64_t>(*loop.trip_count);
+    item["induction"] = v.induction;
+    item["canonical"] = v.canonical;
+    item["parallelizable"] = v.parallelizable;
+    item["bailed"] = v.bailed;
+    item["exact"] = v.exact();
+    if (v.trip_count) item["trip_count"] = static_cast<std::int64_t>(*v.trip_count);
     Json pairs = Json::array();
-    for (const analysis::PairProvenance& pair : loop.pairs) {
+    for (const analysis::PairProvenance& pair : v.pair_provenance) {
       Json p = Json::object();
       p["array"] = pair.array;
       p["src"] = pair.src_text;
@@ -120,11 +106,10 @@ Json explanations_json(const std::string& file,
     }
     item["pairs"] = std::move(pairs);
     Json privates = Json::array();
-    for (const std::string& name : loop.private_candidates)
-      privates.push_back(name);
+    for (const std::string& name : v.private_candidates) privates.push_back(name);
     item["private"] = std::move(privates);
     Json reductions = Json::array();
-    for (const frontend::Reduction& r : loop.reductions) {
+    for (const frontend::Reduction& r : v.reductions) {
       Json red = Json::object();
       red["variable"] = r.variable;
       red["op"] = frontend::reduction_op_name(r.op);
@@ -132,7 +117,7 @@ Json explanations_json(const std::string& file,
     }
     item["reductions"] = std::move(reductions);
     Json notes = Json::array();
-    for (const std::string& note : loop.notes) notes.push_back(note);
+    for (const std::string& note : v.notes) notes.push_back(note);
     item["notes"] = std::move(notes);
     items.push_back(std::move(item));
   }

@@ -10,31 +10,20 @@
 // data backs the machine-readable `clpp.explain.v1` document.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/depend.h"
 #include "frontend/ast.h"
-#include "frontend/pragma.h"
 #include "support/json.h"
 
 namespace clpp::lint {
 
 /// Proof trace for one loop of the unit.
 struct LoopExplanation {
-  int line = 0;                // `for` keyword position (0 = unpositioned)
-  int depth = 0;               // nesting depth within the unit (0 = outermost)
-  std::string induction;       // empty when non-canonical
-  bool canonical = false;
-  bool parallelizable = false;
-  bool bailed = false;
-  bool exact = false;          // verdict is a proof, not a conservative default
-  std::optional<long long> trip_count;
-  std::vector<std::string> notes;
-  std::vector<analysis::PairProvenance> pairs;
-  std::vector<std::string> private_candidates;
-  std::vector<frontend::Reduction> reductions;
+  int line = 0;   // `for` keyword position (0 = unpositioned)
+  int depth = 0;  // nesting depth within the unit (0 = outermost)
+  analysis::LoopVerdict verdict;
 };
 
 /// Analyzes every `for` loop in `unit` (document order, nested included).

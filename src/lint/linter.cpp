@@ -12,7 +12,6 @@
 #include "frontend/pragma.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "s2s/compiler.h"
 
 namespace clpp::lint {
 
@@ -120,7 +119,6 @@ analysis::AnalyzerOptions lint_analyzer_options() {
   options.recognize_reduction = true;
   options.recognize_minmax_reduction = true;
   options.bail_on_struct_access = true;
-  options.suggest_dynamic_schedule = false;
   options.min_trip_count = 0;  // small-trip-count rule handles profitability
   return options;
 }

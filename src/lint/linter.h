@@ -26,7 +26,8 @@
 //   simd-reduction-mismatch         error    simd accumulation without clause
 //   simd-on-non-innermost           warning  simd on a loop containing a loop
 //
-// Fix-its reuse the S2S clause synthesizer (`s2s::directive_from_verdict`):
+// Fix-its edit a copy of the directive as written (missing private and
+// reduction clauses added, the induction dropped from shared(...)):
 // clause-level findings carry the corrected whole pragma line.
 #pragma once
 

@@ -1,6 +1,5 @@
 #include "nn/checkpoint.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "resil/container.h"
@@ -38,15 +37,7 @@ void save_checkpoint(const std::string& path, const std::vector<Parameter*>& par
 
 std::map<std::string, Tensor> load_checkpoint(const std::string& path) {
   resil::fault_point("ckpt.open");
-  if (resil::is_container_file(path)) {
-    const std::string payload = resil::read_container(path);
-    std::istringstream in(payload);
-    return read_entries(in, path);
-  }
-  // Legacy (pre-container) checkpoints: the raw entry stream with no
-  // checksum. Kept readable so existing saved models survive the upgrade.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open checkpoint for reading: " + path);
+  std::istringstream in(resil::read_container(path));
   return read_entries(in, path);
 }
 

@@ -7,7 +7,7 @@
 // Durability: saves go through the clpp::resil checkpoint container
 // (write-to-temp + fsync + rename, CRC32-checksummed payload), so a crash
 // mid-save leaves the previous checkpoint intact and corruption is detected
-// deterministically at load. Legacy uncontainered files remain loadable.
+// deterministically at load. Loads accept only the container.
 #pragma once
 
 #include <map>

@@ -106,13 +106,4 @@ std::string read_container(const std::string& path) {
   return out;
 }
 
-bool is_container_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char magic[4] = {};
-  in.read(magic, sizeof magic);
-  return in.gcount() == sizeof magic &&
-         std::memcmp(magic, kMagic, sizeof magic) == 0;
-}
-
 }  // namespace clpp::resil

@@ -31,8 +31,4 @@ void write_container(const std::string& path, std::string_view payload);
 /// failure. Records `clpp.resil.ckpt_load_us` / `clpp.resil.ckpt_loads`.
 std::string read_container(const std::string& path);
 
-/// True when `path` exists and starts with the container magic. Used to
-/// keep loading legacy (pre-container) checkpoint files.
-bool is_container_file(const std::string& path);
-
 }  // namespace clpp::resil

@@ -17,10 +17,9 @@ CompilerProfile cetus_profile() {
   p.analyzer.bail_on_struct_access = true;
   p.analyzer.recognize_reduction = true;
   p.analyzer.recognize_minmax_reduction = false;  // canonical forms only
-  p.analyzer.suggest_dynamic_schedule = false;    // Table 1 example 2 pitfall
   p.analyzer.min_trip_count = 8;                  // §5.2: skips low-trip loops
   p.explicit_iterator_private = true;             // §5.3 pitfall
-  p.emit_schedule = true;
+  p.emit_schedule = true;  // always static: the Table 1 example 2 pitfall
   p.fail_on_local_functions = false;
   p.fail_on_structs = false;  // bails during analysis instead
   p.fail_on_goto = true;
@@ -172,11 +171,7 @@ OmpDirective directive_from_verdict(const analysis::LoopVerdict& verdict,
   OmpDirective directive;
   directive.parallel = true;
   directive.for_loop = true;
-  if (emit_schedule) {
-    directive.schedule = verdict.schedule_hint;
-  } else if (verdict.schedule_hint != frontend::ScheduleKind::kStatic) {
-    directive.schedule = verdict.schedule_hint;
-  }
+  if (emit_schedule) directive.schedule = frontend::ScheduleKind::kStatic;
   if (explicit_iterator_private && !verdict.induction.empty())
     directive.private_vars.push_back(verdict.induction);
   for (const std::string& name : verdict.private_candidates)

@@ -96,10 +96,9 @@ class S2SCompiler {
 /// convention); nullptr when there is none.
 const frontend::Node* find_target_loop(const frontend::Node& unit);
 
-/// Synthesizes the `parallel for` directive a verdict implies: schedule
-/// hint, private list (optionally with the iterator spelled explicitly, the
-/// Cetus §5.3 habit), and reduction clauses. Shared by the S2S compilers
-/// and the clpp::lint fix-it engine.
+/// Synthesizes the `parallel for` directive a verdict implies: an explicit
+/// schedule(static) when asked, private list (optionally with the iterator
+/// spelled explicitly, the Cetus §5.3 habit), and reduction clauses.
 frontend::OmpDirective directive_from_verdict(const analysis::LoopVerdict& verdict,
                                               bool explicit_iterator_private = false,
                                               bool emit_schedule = false);

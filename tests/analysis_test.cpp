@@ -171,87 +171,7 @@ TEST(Canonical, EarlyExitDetection) {
   EXPECT_TRUE(has_early_exit(first_for(*c).child(3)));
 }
 
-// --- affine subscripts -------------------------------------------------------------
-
-TEST(Affine, RecognizesCommonForms) {
-  const NodePtr i = parse_expression("i");
-  EXPECT_EQ(analyze_subscript(*i, "i"),
-            (Affine{Affine::Kind::kAffine, 1, 0, {}}));
-  const NodePtr ip1 = parse_expression("i + 1");
-  EXPECT_EQ(analyze_subscript(*ip1, "i"),
-            (Affine{Affine::Kind::kAffine, 1, 1, {}}));
-  const NodePtr im2 = parse_expression("i - 2");
-  EXPECT_EQ(analyze_subscript(*im2, "i"),
-            (Affine{Affine::Kind::kAffine, 1, -2, {}}));
-  const NodePtr two_i = parse_expression("2 * i + 3");
-  EXPECT_EQ(analyze_subscript(*two_i, "i"),
-            (Affine{Affine::Kind::kAffine, 2, 3, {}}));
-  const NodePtr c = parse_expression("7");
-  EXPECT_EQ(analyze_subscript(*c, "i"),
-            (Affine{Affine::Kind::kAffine, 0, 7, {}}));
-}
-
-TEST(Affine, InvariantAndComplex) {
-  const NodePtr j = parse_expression("j");
-  EXPECT_EQ(analyze_subscript(*j, "i").kind, Affine::Kind::kInvariant);
-  const NodePtr nm1 = parse_expression("n - 1");
-  EXPECT_EQ(analyze_subscript(*nm1, "i").kind, Affine::Kind::kInvariant);
-  const NodePtr ii = parse_expression("i * i");
-  EXPECT_EQ(analyze_subscript(*ii, "i").kind, Affine::Kind::kComplex);
-  const NodePtr idx = parse_expression("index[i]");
-  EXPECT_EQ(analyze_subscript(*idx, "i").kind, Affine::Kind::kComplex);
-}
-
-TEST(Affine, LinearizedTwoD) {
-  // G[(i * NL) + j]: coeff symbolic -> complex (conservative).
-  const NodePtr e = parse_expression("(i * NL) + j");
-  EXPECT_EQ(analyze_subscript(*e, "i").kind, Affine::Kind::kComplex);
-}
-
-TEST(Affine, UnaryMinusNegatesCoefficients) {
-  const NodePtr neg_i = parse_expression("-i");
-  EXPECT_EQ(analyze_subscript(*neg_i, "i"),
-            (Affine{Affine::Kind::kAffine, -1, 0, {}}));
-  const NodePtr neg_expr = parse_expression("-(i + 2)");
-  EXPECT_EQ(analyze_subscript(*neg_expr, "i"),
-            (Affine{Affine::Kind::kAffine, -1, -2, {}}));
-  const NodePtr plus_i = parse_expression("+i");
-  EXPECT_EQ(analyze_subscript(*plus_i, "i"),
-            (Affine{Affine::Kind::kAffine, 1, 0, {}}));
-}
-
-TEST(Affine, SymbolicAddendKeepsReversedSubscriptAffine) {
-  // c - i: coeff -1 with symbolic addend +c (mirror/reverse idiom).
-  const NodePtr cmi = parse_expression("c - i");
-  EXPECT_EQ(analyze_subscript(*cmi, "i"),
-            (Affine{Affine::Kind::kAffine, -1, 0, "c", 1}));
-  // i - c: coeff 1 with symbolic addend -c.
-  const NodePtr imc = parse_expression("i - c");
-  EXPECT_EQ(analyze_subscript(*imc, "i"),
-            (Affine{Affine::Kind::kAffine, 1, 0, "c", -1}));
-  // c - i + 1 keeps literal offset and the addend.
-  const NodePtr cmi1 = parse_expression("c - i + 1");
-  EXPECT_EQ(analyze_subscript(*cmi1, "i"),
-            (Affine{Affine::Kind::kAffine, -1, 1, "c", 1}));
-  // Two symbolic addends are beyond the single-symbol form.
-  const NodePtr two = parse_expression("c - i + d");
-  EXPECT_EQ(analyze_subscript(*two, "i").kind, Affine::Kind::kComplex);
-}
-
-TEST(DimRelationTest, SymbolicAddendsMustMatch) {
-  const Affine rev{Affine::Kind::kAffine, -1, 0, "c", 1};
-  const Affine rev_m1{Affine::Kind::kAffine, -1, -1, "c", 1};
-  const Affine rev_d{Affine::Kind::kAffine, -1, 0, "d", 1};
-  const Affine rev_neg{Affine::Kind::kAffine, -1, 0, "c", -1};
-  const Affine plain{Affine::Kind::kAffine, -1, 0, {}};
-  // Identical symbols: the distance test stays exact.
-  EXPECT_EQ(compare_dimension(rev, rev), DimRelation::kSameIterationOnly);
-  EXPECT_EQ(compare_dimension(rev, rev_m1), DimRelation::kCarried);
-  // Different symbol, different sign, or symbol-vs-none: conservative.
-  EXPECT_EQ(compare_dimension(rev, rev_d), DimRelation::kUnknown);
-  EXPECT_EQ(compare_dimension(rev, rev_neg), DimRelation::kUnknown);
-  EXPECT_EQ(compare_dimension(rev, plain), DimRelation::kUnknown);
-}
+// --- whole-loop verdicts -------------------------------------------------------------
 
 TEST(Verdict, ReversedWriteSubscriptParallelizes) {
   // a[c - i] hits a distinct element every iteration: no carried dep.
@@ -259,24 +179,6 @@ TEST(Verdict, ReversedWriteSubscriptParallelizes) {
   EXPECT_TRUE(v.parallelizable) << "reverse-indexed write should be provably safe";
   EXPECT_TRUE(v.dependences.empty());
 }
-
-TEST(DimRelationTest, Cases) {
-  const Affine i{Affine::Kind::kAffine, 1, 0, {}};
-  const Affine im1{Affine::Kind::kAffine, 1, -1, {}};
-  const Affine c0{Affine::Kind::kAffine, 0, 0, {}};
-  const Affine c1{Affine::Kind::kAffine, 0, 1, {}};
-  const Affine inv_j{Affine::Kind::kInvariant, 0, 0, "j"};
-  const Affine inv_k{Affine::Kind::kInvariant, 0, 0, "k"};
-  EXPECT_EQ(compare_dimension(i, i), DimRelation::kSameIterationOnly);
-  EXPECT_EQ(compare_dimension(i, im1), DimRelation::kCarried);
-  EXPECT_EQ(compare_dimension(c0, c1), DimRelation::kDisjoint);
-  EXPECT_EQ(compare_dimension(c0, c0), DimRelation::kCarried);
-  EXPECT_EQ(compare_dimension(inv_j, inv_j), DimRelation::kCarried);
-  EXPECT_EQ(compare_dimension(inv_j, inv_k), DimRelation::kUnknown);
-  EXPECT_EQ(compare_dimension(i, inv_j), DimRelation::kUnknown);
-}
-
-// --- whole-loop verdicts -------------------------------------------------------------
 
 TEST(Verdict, IndependentElementwiseLoopParallelizes) {
   const auto v = analyze_with("for (i = 0; i < n; i++) a[i] = b[i] + c[i];");
@@ -424,15 +326,16 @@ TEST(Verdict, TripCountThreshold) {
   EXPECT_TRUE(big.parallelizable);
 }
 
-TEST(Verdict, DynamicScheduleHint) {
-  AnalyzerOptions opts;
-  opts.suggest_dynamic_schedule = true;
+TEST(Verdict, MayWriteCallIsConservativeNotAProof) {
+  // fill() writes through its argument: the loop stays serial without any
+  // pair being tested, so the verdict is a conservative default. It is not
+  // a bail either, which S2S would count as a compile failure.
   const auto v = analyze_with(
-      "int MoreCalc(int i) { return i * 2; }\n"
-      "int Calc2(int i) { return i + 1; }\n"
-      "for (i = 0; i <= N; i++) if (MoreCalc(i)) x[i] = Calc2(i);", opts);
-  EXPECT_TRUE(v.parallelizable);
-  EXPECT_EQ(v.schedule_hint, frontend::ScheduleKind::kDynamic);
+      "void fill(int *p, int n) { for (int k = 0; k < n; k++) p[k] = 0; }\n"
+      "for (i = 0; i < n; i++) { fill(rows[i], m); }");
+  EXPECT_FALSE(v.parallelizable);
+  EXPECT_FALSE(v.bailed);
+  EXPECT_FALSE(v.exact());
 }
 
 TEST(Verdict, StructAccessBailsByDefault) {
@@ -513,6 +416,39 @@ TEST(AffineFormTest, InvariantSymbolsFold) {
   EXPECT_EQ(form.coeffs.at("i"), 1);
   EXPECT_EQ(form.symbols.at("n"), 1);
   EXPECT_EQ(form.offset, -1);
+}
+
+TEST(AffineFormTest, SubscriptShapes) {
+  // Common subscript shapes over the single induction `i`. Every other name
+  // is a loop-invariant symbol with a literal coefficient, any number of
+  // them; a symbolic coefficient (i * NL) or an indirection is not affine.
+  struct Case {
+    const char* expr;
+    AffineForm form;
+  };
+  const Case cases[] = {
+      {"i", {true, {{"i", 1}}, {}, 0}},
+      {"i + 1", {true, {{"i", 1}}, {}, 1}},
+      {"i - 2", {true, {{"i", 1}}, {}, -2}},
+      {"2 * i + 3", {true, {{"i", 2}}, {}, 3}},
+      {"7", {true, {}, {}, 7}},
+      {"j", {true, {}, {{"j", 1}}, 0}},
+      {"n - 1", {true, {}, {{"n", 1}}, -1}},
+      {"i * i", {}},
+      {"index[i]", {}},
+      {"(i * NL) + j", {}},
+      {"-i", {true, {{"i", -1}}, {}, 0}},
+      {"-(i + 2)", {true, {{"i", -1}}, {}, -2}},
+      {"+i", {true, {{"i", 1}}, {}, 0}},
+      {"c - i", {true, {{"i", -1}}, {{"c", 1}}, 0}},
+      {"i - c", {true, {{"i", 1}}, {{"c", -1}}, 0}},
+      {"c - i + 1", {true, {{"i", -1}}, {{"c", 1}}, 1}},
+      {"c - i + d", {true, {{"i", -1}}, {{"c", 1}, {"d", 1}}, 0}},
+  };
+  for (const Case& c : cases) {
+    const NodePtr expr = parse_expression(c.expr);
+    EXPECT_EQ(analyze_affine(*expr, {{"i"}, {}}), c.form) << c.expr;
+  }
 }
 
 TEST(AffineFormTest, MutatedNameIsNotAffine) {
@@ -630,23 +566,15 @@ TEST(DdtestV2, DirectionVectorAcrossNestLevels) {
   EXPECT_EQ(*v.dependences[0].distance, 1);
 }
 
-TEST(DdtestV2, LegacyEngineKnobFallsBackToSeedBehavior) {
-  // The linearized-subscript snippet the seed engine gave up on: v2 is an
-  // exact yes, the legacy knob reproduces the conservative refusal.
-  const char* code =
+TEST(DdtestV2, LinearizedSubscriptIsExactParallel) {
+  // c[i * m + j] has a symbolic coefficient, so it does not lower; the
+  // identical-subscript rule still proves the outer loop parallel.
+  const LoopVerdict v = analyze_with(
       "for (i = 0; i < n; i++)\n"
       "  for (j = 0; j < m; j++)\n"
-      "    c[i * m + j] = c[i * m + j] + 1.0;";
-  const LoopVerdict v2 = analyze_with(code);
-  EXPECT_TRUE(v2.parallelizable);
-  EXPECT_TRUE(v2.exact());
-
-  AnalyzerOptions legacy;
-  legacy.exact_dependence_engine = false;
-  const LoopVerdict seed = analyze_with(code, legacy);
-  EXPECT_FALSE(seed.parallelizable);
-  EXPECT_GT(seed.dep_pairs_unknown, 0u);
-  EXPECT_FALSE(seed.exact());
+      "    c[i * m + j] = c[i * m + j] + 1.0;");
+  EXPECT_TRUE(v.parallelizable);
+  EXPECT_TRUE(v.exact());
 }
 
 TEST(DdtestV2, NestContextExposesDirectionBitmasks) {
@@ -696,8 +624,7 @@ std::string read_fixture(const std::string& name) {
 }
 
 /// Analyzes every for loop of a fixture, outermost-first walk order.
-std::vector<LoopVerdict> analyze_fixture(const std::string& name,
-                                         AnalyzerOptions options = {}) {
+std::vector<LoopVerdict> analyze_fixture(const std::string& name) {
   static std::vector<NodePtr> keep_alive;
   keep_alive.push_back(parse_snippet(read_fixture(name)));
   const frontend::Node& unit = *keep_alive.back();
@@ -706,7 +633,7 @@ std::vector<LoopVerdict> analyze_fixture(const std::string& name,
     if (node.kind == NodeKind::kFor) loops.push_back(&node);
   });
   SideEffectOracle oracle(unit);
-  DependenceAnalyzer analyzer(oracle, options);
+  DependenceAnalyzer analyzer(oracle, AnalyzerOptions{});
   std::vector<LoopVerdict> verdicts;
   for (const frontend::Node* loop : loops) verdicts.push_back(analyzer.analyze(*loop));
   return verdicts;
@@ -721,15 +648,6 @@ TEST(Realworld, GemmOuterLoopResolvesExactlyParallel) {
   // The k loop re-writes C[i*nj + j] every iteration: carried, by proof.
   EXPECT_FALSE(verdicts[2].parallelizable);
   EXPECT_TRUE(verdicts[2].exact());
-}
-
-TEST(Realworld, GemmSeedEngineRefusedConservatively) {
-  AnalyzerOptions legacy;
-  legacy.exact_dependence_engine = false;
-  const auto verdicts = analyze_fixture("gemm.c", legacy);
-  ASSERT_EQ(verdicts.size(), 4u);
-  EXPECT_FALSE(verdicts[0].parallelizable);
-  EXPECT_GT(verdicts[0].dep_pairs_unknown, 0u);
 }
 
 TEST(Realworld, MvtOuterParallelInnerAccumulates) {
@@ -764,18 +682,11 @@ TEST(Realworld, AtaxOuterLoopCarriedOnY) {
 TEST(Realworld, JacobiTimeLoopProvedCarriedSpaceLoopsParallel) {
   const auto verdicts = analyze_fixture("jacobi-1d.c");
   ASSERT_EQ(verdicts.size(), 3u);
-  // v2 proves the t-loop carried exactly through the imperfect nest; the
-  // seed engine only refused it as unknown.
+  // The t-loop is proved carried exactly through the imperfect nest.
   EXPECT_FALSE(verdicts[0].parallelizable);
   EXPECT_TRUE(verdicts[0].exact());
   EXPECT_TRUE(verdicts[1].parallelizable);
   EXPECT_TRUE(verdicts[2].parallelizable);
-
-  AnalyzerOptions legacy;
-  legacy.exact_dependence_engine = false;
-  const auto seed = analyze_fixture("jacobi-1d.c", legacy);
-  EXPECT_FALSE(seed[0].parallelizable);
-  EXPECT_GT(seed[0].dep_pairs_unknown, 0u);
 }
 
 TEST(Realworld, NonParallelIirHasUnitDistance) {
@@ -863,26 +774,18 @@ TEST(Provenance, EveryRealworldPairNamesItsDecidingTest) {
   EXPECT_GT(pairs_seen, 0u);
 }
 
-TEST(Realworld, V2StrictlyFewerUnknownsThanSeedEngine) {
+TEST(Realworld, EveryLoopHasNoUnknownPairsAndNoBail) {
   const char* fixtures[] = {"gemm.c",      "atax.c", "mvt.c",
                             "gemver.c",    "jacobi-1d.c", "non_parallel.c"};
-  std::size_t seed_unknown = 0, v2_unknown = 0;
-  std::size_t seed_bailed = 0, v2_bailed = 0;
-  AnalyzerOptions legacy;
-  legacy.exact_dependence_engine = false;
+  std::size_t loops = 0;
   for (const char* name : fixtures) {
-    for (const LoopVerdict& v : analyze_fixture(name, legacy)) {
-      seed_unknown += v.dep_pairs_unknown;
-      seed_bailed += v.bailed ? 1 : 0;
-    }
     for (const LoopVerdict& v : analyze_fixture(name)) {
-      v2_unknown += v.dep_pairs_unknown;
-      v2_bailed += v.bailed ? 1 : 0;
+      ++loops;
+      EXPECT_EQ(v.dep_pairs_unknown, 0u) << name << " loop " << v.induction;
+      EXPECT_FALSE(v.bailed) << name << " loop " << v.induction;
     }
   }
-  EXPECT_EQ(v2_unknown, 0u);
-  EXPECT_LT(v2_unknown, seed_unknown);
-  EXPECT_LE(v2_bailed, seed_bailed);
+  EXPECT_EQ(loops, 15u);
 }
 
 }  // namespace

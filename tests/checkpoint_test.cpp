@@ -71,7 +71,7 @@ TEST_F(CheckpointTest, SaveLoadRoundTripsThroughContainer) {
   const std::vector<nn::Parameter*> params = {&w, &b};
   const std::string target = path("model.ckpt");
   nn::save_checkpoint(target, params);
-  EXPECT_TRUE(resil::is_container_file(target));
+  EXPECT_EQ(slurp(target).substr(0, 4), "CLPC");
 
   const auto loaded = nn::load_checkpoint(target);
   ASSERT_EQ(loaded.size(), 2u);
@@ -82,19 +82,15 @@ TEST_F(CheckpointTest, SaveLoadRoundTripsThroughContainer) {
             0);
 }
 
-TEST_F(CheckpointTest, LegacyUncontaineredCheckpointStillLoads) {
-  // The pre-resil format: the raw entry stream, no magic, no checksum.
-  std::ofstream out(path("legacy.ckpt"), std::ios::binary);
-  const Tensor t = filled({2, 2}, 5.0f);
+TEST_F(CheckpointTest, UncontaineredCheckpointIsRejected) {
+  // A raw entry stream (no container magic, no checksum) is not loadable.
+  std::ofstream out(path("raw.ckpt"), std::ios::binary);
   write_u64(out, 1);
   write_string(out, "w");
-  write_tensor(out, t);
+  write_tensor(out, filled({2, 2}, 5.0f));
   out.close();
 
-  const auto loaded = nn::load_checkpoint(path("legacy.ckpt"));
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(std::memcmp(loaded.at("w").data(), t.data(), t.numel() * sizeof(float)),
-            0);
+  EXPECT_THROW(nn::load_checkpoint(path("raw.ckpt")), ParseError);
 }
 
 TEST_F(CheckpointTest, MissingFileIsIoError) {

@@ -691,9 +691,9 @@ TEST(LintExplain, RealworldLoopsAllNameTheirDecidingTests) {
     EXPECT_EQ(loops.size(), loop_count) << name;
     total_loops += loops.size();
     for (const LoopExplanation& loop : loops) {
-      EXPECT_TRUE(loop.canonical) << name;
-      EXPECT_TRUE(loop.exact) << name << " line " << loop.line;
-      for (const analysis::PairProvenance& pair : loop.pairs)
+      EXPECT_TRUE(loop.verdict.canonical) << name;
+      EXPECT_TRUE(loop.verdict.exact()) << name << " line " << loop.line;
+      for (const analysis::PairProvenance& pair : loop.verdict.pair_provenance)
         EXPECT_FALSE(pair.test.empty()) << name << " line " << loop.line;
     }
     // Renderings carry the same trace: the text names at least one test
@@ -714,16 +714,34 @@ TEST(LintExplain, NestedLoopsGetDepthAndDocumentOrder) {
       explain_unit(*unit, Linter{}.options().analyzer);
   ASSERT_EQ(loops.size(), 2u);
   EXPECT_EQ(loops[0].depth, 0);
-  EXPECT_EQ(loops[0].induction, "i");
+  EXPECT_EQ(loops[0].verdict.induction, "i");
   EXPECT_EQ(loops[1].depth, 1);
-  EXPECT_EQ(loops[1].induction, "j");
+  EXPECT_EQ(loops[1].verdict.induction, "j");
   // The inner recurrence is proved carried with a pinned distance.
-  EXPECT_FALSE(loops[1].parallelizable);
+  EXPECT_FALSE(loops[1].verdict.parallelizable);
   bool carried = false;
-  for (const analysis::PairProvenance& pair : loops[1].pairs)
+  for (const analysis::PairProvenance& pair : loops[1].verdict.pair_provenance)
     if (pair.carried && pair.distance.has_value() && *pair.distance == 1)
       carried = true;
   EXPECT_TRUE(carried);
+}
+
+TEST(LintExplain, MayWriteCallIsConservativeNotAProof) {
+  // fill() writes through its argument, so the loop is judged serial before
+  // any pair is tested: a conservative default, not an exact proof.
+  const frontend::NodePtr unit = frontend::parse_snippet(
+      "void fill(int *p, int n) { for (int k = 0; k < n; k++) p[k] = 0; }\n"
+      "for (i = 0; i < n; i++) { fill(rows[i], m); }");
+  const std::vector<LoopExplanation> loops =
+      explain_unit(*unit, Linter{}.options().analyzer);
+  ASSERT_EQ(loops.size(), 2u);
+  const std::string rendered = render_explanations("fill.c", loops);
+  EXPECT_NE(rendered.find("loop at line 2 (induction i): serial, conservative\n"),
+            std::string::npos)
+      << rendered;
+  const Json doc = explanations_json("fill.c", loops);
+  EXPECT_FALSE(doc.at("loops").at(1).at("exact").as_bool());
+  EXPECT_FALSE(doc.at("loops").at(1).at("bailed").as_bool());
 }
 
 TEST(Lint, DiagnosticsCarryDependenceProvenance) {

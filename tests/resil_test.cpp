@@ -298,12 +298,10 @@ TEST_F(ResilTest, ContainerRoundTripsAndSniffs) {
   const std::string target = path("payload.ckpt");
   const std::string payload = std::string("binary") + '\0' + "payload\x7f";
   resil::write_container(target, payload);
-  EXPECT_TRUE(resil::is_container_file(target));
   EXPECT_EQ(resil::read_container(target), payload);
 
-  spew(path("legacy.bin"), "not a container");
-  EXPECT_FALSE(resil::is_container_file(path("legacy.bin")));
-  EXPECT_FALSE(resil::is_container_file(path("absent.bin")));
+  spew(path("raw.bin"), "not a container but longer than a header");
+  EXPECT_THROW(resil::read_container(path("raw.bin")), ParseError);
 }
 
 TEST_F(ResilTest, EveryFlippedByteIsRejected) {
