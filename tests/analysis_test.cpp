@@ -418,37 +418,53 @@ TEST(AffineFormTest, InvariantSymbolsFold) {
   EXPECT_EQ(form.offset, -1);
 }
 
-TEST(AffineFormTest, SubscriptShapes) {
-  // Common subscript shapes over the single induction `i`. Every other name
-  // is a loop-invariant symbol with a literal coefficient, any number of
-  // them; a symbolic coefficient (i * NL) or an indirection is not affine.
-  struct Case {
-    const char* expr;
-    AffineForm form;
-  };
-  const Case cases[] = {
-      {"i", {true, {{"i", 1}}, {}, 0}},
-      {"i + 1", {true, {{"i", 1}}, {}, 1}},
-      {"i - 2", {true, {{"i", 1}}, {}, -2}},
-      {"2 * i + 3", {true, {{"i", 2}}, {}, 3}},
-      {"7", {true, {}, {}, 7}},
-      {"j", {true, {}, {{"j", 1}}, 0}},
-      {"n - 1", {true, {}, {{"n", 1}}, -1}},
-      {"i * i", {}},
-      {"index[i]", {}},
-      {"(i * NL) + j", {}},
-      {"-i", {true, {{"i", -1}}, {}, 0}},
-      {"-(i + 2)", {true, {{"i", -1}}, {}, -2}},
-      {"+i", {true, {{"i", 1}}, {}, 0}},
-      {"c - i", {true, {{"i", -1}}, {{"c", 1}}, 0}},
-      {"i - c", {true, {{"i", 1}}, {{"c", -1}}, 0}},
-      {"c - i + 1", {true, {{"i", -1}}, {{"c", 1}}, 1}},
-      {"c - i + d", {true, {{"i", -1}}, {{"c", 1}, {"d", 1}}, 0}},
-  };
-  for (const Case& c : cases) {
-    const NodePtr expr = parse_expression(c.expr);
-    EXPECT_EQ(analyze_affine(*expr, {{"i"}, {}}), c.form) << c.expr;
-  }
+// Common subscript shapes over the single induction `i`. Every other name is
+// a loop-invariant symbol with a literal coefficient, any number of them; a
+// symbolic coefficient (i * NL) or an indirection is not affine.
+AffineForm affine_in_i(const char* text) {
+  const NodePtr expr = parse_expression(text);
+  return analyze_affine(*expr, {{"i"}, {}});
+}
+
+TEST(Affine, RecognizesCommonForms) {
+  EXPECT_EQ(affine_in_i("i"), (AffineForm{true, {{"i", 1}}, {}, 0}));
+  EXPECT_EQ(affine_in_i("i + 1"), (AffineForm{true, {{"i", 1}}, {}, 1}));
+  EXPECT_EQ(affine_in_i("i - 2"), (AffineForm{true, {{"i", 1}}, {}, -2}));
+  EXPECT_EQ(affine_in_i("2 * i + 3"), (AffineForm{true, {{"i", 2}}, {}, 3}));
+  EXPECT_EQ(affine_in_i("7"), (AffineForm{true, {}, {}, 7}));
+}
+
+TEST(Affine, InvariantAndComplex) {
+  EXPECT_EQ(affine_in_i("j"), (AffineForm{true, {}, {{"j", 1}}, 0}));
+  EXPECT_EQ(affine_in_i("n - 1"), (AffineForm{true, {}, {{"n", 1}}, -1}));
+  EXPECT_FALSE(affine_in_i("i * i").affine);
+  EXPECT_FALSE(affine_in_i("index[i]").affine);
+}
+
+TEST(Affine, LinearizedTwoD) {
+  // G[(i * NL) + j]: coeff symbolic -> not affine (conservative).
+  EXPECT_FALSE(affine_in_i("(i * NL) + j").affine);
+}
+
+TEST(Affine, UnaryMinusNegatesCoefficients) {
+  EXPECT_EQ(affine_in_i("-i"), (AffineForm{true, {{"i", -1}}, {}, 0}));
+  EXPECT_EQ(affine_in_i("-(i + 2)"), (AffineForm{true, {{"i", -1}}, {}, -2}));
+  EXPECT_EQ(affine_in_i("+i"), (AffineForm{true, {{"i", 1}}, {}, 0}));
+}
+
+TEST(Affine, SymbolicAddendKeepsReversedSubscriptAffine) {
+  // c - i: coeff -1 with symbolic addend +c (mirror/reverse idiom).
+  EXPECT_EQ(affine_in_i("c - i"),
+            (AffineForm{true, {{"i", -1}}, {{"c", 1}}, 0}));
+  // i - c: coeff 1 with symbolic addend -c.
+  EXPECT_EQ(affine_in_i("i - c"),
+            (AffineForm{true, {{"i", 1}}, {{"c", -1}}, 0}));
+  // c - i + 1 keeps literal offset and the addend.
+  EXPECT_EQ(affine_in_i("c - i + 1"),
+            (AffineForm{true, {{"i", -1}}, {{"c", 1}}, 1}));
+  // Any number of symbolic addends stays affine.
+  EXPECT_EQ(affine_in_i("c - i + d"),
+            (AffineForm{true, {{"i", -1}}, {{"c", 1}, {"d", 1}}, 0}));
 }
 
 TEST(AffineFormTest, MutatedNameIsNotAffine) {
