@@ -102,7 +102,7 @@ void BM_NestContextLinearizedGemm(benchmark::State& state) {
     if (access.is_array && access.variable == "c") refs.push_back(&access);
   std::size_t pairs = 0;
   for (auto _ : state) {
-    const analysis::NestContext context(*loop);
+    const analysis::NestContext context(*loop, accesses);
     for (const analysis::Access* src : refs)
       for (const analysis::Access* snk : refs) {
         if (!src->is_write && !snk->is_write) continue;

@@ -8,7 +8,11 @@
 # LintAuditSimd suites, continuously enforced). clpp-lint lints input files
 # on an OpenMP team, so the gate also diffs `clpp-lint --json
 # corpus/realworld/*.c` between OMP_NUM_THREADS=1 and the default team: any
-# byte difference fails.
+# byte difference fails. Last, clpp-lint's output on fixed inputs is pinned
+# byte for byte, exit code included, to the golden files in
+# tests/golden/lint/: text and --json on a fixture with a loop per lint rule,
+# --explain --json on corpus/realworld, and --audit --json --size 400. A
+# change that means to alter one of these outputs re-records its golden.
 #
 #   $ scripts/check_lint_audit.sh
 #   $ SIZE=1000 BUGGY=0.25 scripts/check_lint_audit.sh
@@ -50,6 +54,32 @@ if ! cmp -s "$tmp/team" "$tmp/serial" || [ "$team_rc" != "$serial_rc" ]; then
   exit 1
 fi
 echo "--json corpus/realworld/*.c: identical at OMP_NUM_THREADS=1 and the default team (rc=$team_rc)"
+
+# Golden outputs: pin <golden file> <exit code> <clpp-lint arguments...>.
+# stdout must equal the golden byte for byte, stderr must stay empty.
+golden=tests/golden/lint
+pinned_rc=0
+pin() {
+  name=$1 want_rc=$2
+  shift 2
+  rc=0
+  "$BUILD_DIR/examples/clpp-lint" "$@" > "$tmp/pin.out" 2> "$tmp/pin.err" || rc=$?
+  if cmp -s "$golden/$name" "$tmp/pin.out" && [ "$rc" = "$want_rc" ] && [ ! -s "$tmp/pin.err" ]; then
+    return 0
+  fi
+  echo "check_lint_audit: clpp-lint $* (exit $rc) differs from $golden/$name (exit $want_rc):" >&2
+  diff "$golden/$name" "$tmp/pin.out" | head -40 >&2 || true
+  cat "$tmp/pin.err" >&2
+  pinned_rc=1
+}
+pin rules.txt 1 "$golden/rules.c" "$golden/parse_error.c"
+pin rules.json 1 --json "$golden/rules.c" "$golden/parse_error.c"
+pin explain-realworld.json 0 --explain --json corpus/realworld/*.c
+pin audit-400.json 1 --audit --json --size 400
+if [ "$pinned_rc" != 0 ]; then
+  exit 1
+fi
+echo "golden outputs: 4/4 byte-identical to $golden, exit codes included"
 
 echo "$report" | python3 -c '
 import json, sys

@@ -176,46 +176,56 @@ std::optional<long long> PairResult::carried_distance() const {
 // ---------------------------------------------------------------------------
 // NestContext
 
-NestContext::NestContext(const Node& loop) : loop_(&loop) {
+namespace {
+
+/// Orders NestContext's (site, loop) entries, sorted by site, against a site.
+constexpr auto kBySite = [](const auto& entry, const Node* site) {
+  return entry.first < site;
+};
+
+}  // namespace
+
+NestContext::NestContext(const Node& loop, const AccessSet& accesses) {
   const auto canonical = canonicalize(loop);
   CLPP_CHECK_MSG(canonical.has_value(), "NestContext expects a canonical loop");
   analyzed_ = *canonical;
 
-  // Record every canonical `for` in the nest and, for every AST node, the
-  // chain of enclosing canonical loops (analyzed loop first). Non-canonical
-  // loops contribute no binding: their inductions stay in `mutated` and any
-  // subscript that mentions one degrades to a conservative answer.
-  std::vector<const LoopRec*> stack;
-  std::function<void(const Node&)> visit = [&](const Node& node) {
-    const LoopRec* entered = nullptr;
-    if (node.kind == NodeKind::kFor) {
-      if (auto canon = canonicalize(node)) {
-        auto rec = std::make_unique<LoopRec>();
-        rec->node = &node;
-        rec->canon = *canon;
-        rec->trip = canon->static_trip_count();
-        entered = rec.get();
-        loops_.push_back(std::move(rec));
-        stack.push_back(entered);
-      }
-    }
-    chains_[&node] = stack;
-    for (const auto& c : node.children) visit(*c);
-    if (entered != nullptr) stack.pop_back();
-  };
-  visit(loop);
+  // Record every canonical `for` in the nest and, for every access site,
+  // the innermost canonical loop around it (analyzed loop outermost).
+  // Non-canonical loops contribute no binding: their inductions stay in
+  // `mutated` and any subscript that mentions one degrades to a
+  // conservative answer.
+  sites_.reserve(accesses.accesses.size());
+  for (const Access& a : accesses.accesses) sites_.emplace_back(a.site, nullptr);
+  std::sort(sites_.begin(), sites_.end());
+  sites_.erase(std::unique(sites_.begin(), sites_.end()), sites_.end());
+  index_nest(loop, nullptr);
 
   for (const auto& rec : loops_) env_.vars.insert(rec->canon.induction);
-  const AccessSet accesses = collect_accesses(loop.child(3));
   for (const Access& a : accesses.accesses)
     if (a.is_write && !a.is_array) env_.mutated.insert(a.variable);
 }
 
-const std::vector<const NestContext::LoopRec*>* NestContext::chain_of(
-    const Node* site) const {
-  const auto it = chains_.find(site);
-  if (it == chains_.end() || it->second.empty()) return nullptr;
-  return &it->second;
+void NestContext::index_nest(const Node& node, const LoopRec* enclosing) {
+  if (node.kind == NodeKind::kFor) {
+    if (auto canon = canonicalize(node)) {
+      auto rec = std::make_unique<LoopRec>();
+      rec->outer = enclosing;
+      rec->depth = enclosing == nullptr ? 1 : enclosing->depth + 1;
+      rec->trip = canon->static_trip_count();
+      rec->canon = std::move(*canon);
+      enclosing = rec.get();
+      loops_.push_back(std::move(rec));
+    }
+  }
+  const auto site = std::lower_bound(sites_.begin(), sites_.end(), &node, kBySite);
+  if (site != sites_.end() && site->first == &node) site->second = enclosing;
+  for (const auto& c : node.children) index_nest(*c, enclosing);
+}
+
+const NestContext::LoopRec* NestContext::innermost_of(const Node* site) const {
+  const auto it = std::lower_bound(sites_.begin(), sites_.end(), site, kBySite);
+  return it != sites_.end() && it->first == site ? it->second : nullptr;
 }
 
 namespace {
@@ -241,41 +251,43 @@ PairResult NestContext::test_pair(const Access& src, const Access& snk) const {
   conservative.exact = false;
   conservative.levels.push_back({analyzed_.induction, kDirAll, std::nullopt});
 
-  const auto* chain_src = chain_of(src.site);
-  const auto* chain_snk = chain_of(snk.site);
-  if (chain_src == nullptr || chain_snk == nullptr) return conservative;
+  const LoopRec* inner_src = innermost_of(src.site);
+  const LoopRec* inner_snk = innermost_of(snk.site);
+  if (inner_src == nullptr || inner_snk == nullptr) return conservative;
 
-  // Common enclosing canonical loops: the shared root-down prefix.
-  std::vector<const LoopRec*> common;
-  for (std::size_t i = 0; i < chain_src->size() && i < chain_snk->size(); ++i) {
-    if ((*chain_src)[i] != (*chain_snk)[i]) break;
-    common.push_back((*chain_src)[i]);
+  // Common enclosing canonical loops: the analyzed loop down to the
+  // innermost loop around both sites, found by walking the outer links.
+  const LoopRec* shared = inner_src;
+  for (const LoopRec* other = inner_snk; shared != other;) {
+    if (shared->depth >= other->depth)
+      shared = shared->outer;
+    else
+      other = other->outer;
   }
-  if (common.empty() || common.front()->node != loop_) return conservative;
+  std::vector<const LoopRec*> common(shared->depth);
+  for (const LoopRec* rec = shared; rec != nullptr; rec = rec->outer)
+    common[rec->depth - 1] = rec;
 
   // Lower one side of one subscript into iteration-count variables:
   // value(v bound at loop L) = lower_L + step_L * t(side, L), recursing
-  // into lower bounds that reference outer inductions.
-  std::function<bool(const AffineForm&, int, std::size_t,
-                     const std::vector<const LoopRec*>&, long long, LinearDiff&,
+  // into lower bounds that reference outer inductions. A name binds to the
+  // innermost loop of its induction at or outside `inner`.
+  std::function<bool(const AffineForm&, int, const LoopRec*, long long, LinearDiff&,
                      std::map<std::string, long long>&)>
-      lower_form = [&](const AffineForm& form, int side, std::size_t depth,
-                       const std::vector<const LoopRec*>& chain, long long scale,
-                       LinearDiff& out, std::map<std::string, long long>& syms) {
+      lower_form = [&](const AffineForm& form, int side, const LoopRec* inner,
+                       long long scale, LinearDiff& out,
+                       std::map<std::string, long long>& syms) {
         if (!form.affine) return false;
         out.constant = sat_add(out.constant, sat_mul(scale, form.offset));
         for (const auto& [sym, c] : form.symbols) syms[sym] += scale * c;
         for (const auto& [name, c] : form.coeffs) {
-          // Innermost binding of `name` along this access's chain.
-          std::size_t bind = depth;
-          while (bind > 0 && chain[bind - 1]->canon.induction != name) --bind;
-          if (bind == 0) return false;  // not bound here: stay conservative
-          const LoopRec* rec = chain[bind - 1];
+          const LoopRec* rec = inner;
+          while (rec != nullptr && rec->canon.induction != name) rec = rec->outer;
+          if (rec == nullptr) return false;  // not bound here: stay conservative
           const long long coeff = sat_mul(scale, c);
           out.terms[{side, rec}] += sat_mul(coeff, rec->canon.step);
           const AffineForm low = analyze_affine(*rec->canon.lower, env_);
-          if (!lower_form(low, side, bind - 1, chain, coeff, out, syms))
-            return false;
+          if (!lower_form(low, side, rec->outer, coeff, out, syms)) return false;
         }
         return true;
       };
@@ -291,8 +303,8 @@ PairResult NestContext::test_pair(const Access& src, const Access& snk) const {
     const AffineForm fk = analyze_affine(*snk.subscripts[d], env_);
     LinearDiff pos, neg;
     std::map<std::string, long long> syms_pos, syms_neg;
-    if (!lower_form(fs, 1, chain_src->size(), *chain_src, 1, pos, syms_pos) ||
-        !lower_form(fk, 2, chain_snk->size(), *chain_snk, 1, neg, syms_neg)) {
+    if (!lower_form(fs, 1, inner_src, 1, pos, syms_pos) ||
+        !lower_form(fk, 2, inner_snk, 1, neg, syms_neg)) {
       diff.ok = false;
       dims.push_back(diff);
       // Identical-subscript rule: two textually identical subscripts —

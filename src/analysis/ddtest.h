@@ -130,32 +130,39 @@ struct PairResult {
 };
 
 /// Loop-nest context for one analyzed loop: canonical info for every `for`
-/// in the nest plus the chain of enclosing loops for every AST node.
+/// in the nest, each linked to its enclosing canonical loop, plus the
+/// innermost enclosing canonical loop of every access site. A site's chain
+/// of enclosing loops is rebuilt from the links when a pair is tested.
 class NestContext {
  public:
-  /// `loop` must be a For node that canonicalizes.
-  explicit NestContext(const frontend::Node& loop);
+  /// `loop` must be a For node that canonicalizes; `accesses` is the scan
+  /// of its body, collect_accesses(loop.child(3)), which the caller already
+  /// holds for its own tests.
+  NestContext(const frontend::Node& loop, const AccessSet& accesses);
 
-  /// Tests whether `src` and `snk` (accesses inside the analyzed loop, at
-  /// least one a write) can reference the same element, and on which
-  /// iteration-distance vectors. Ranks must match (caller's concern).
+  /// Tests whether `src` and `snk` (accesses of the set the context was
+  /// built from, at least one a write) can reference the same element, and
+  /// on which iteration-distance vectors. Ranks must match (caller's
+  /// concern).
   PairResult test_pair(const Access& src, const Access& snk) const;
 
   const CanonicalLoop& analyzed() const { return analyzed_; }
 
  private:
   struct LoopRec {
-    const frontend::Node* node = nullptr;
+    const LoopRec* outer = nullptr;  // enclosing canonical loop; null at the root
+    std::size_t depth = 1;           // canonical loops from the root to here
     CanonicalLoop canon;
     std::optional<long long> trip;
   };
 
-  const std::vector<const LoopRec*>* chain_of(const frontend::Node* site) const;
+  void index_nest(const frontend::Node& node, const LoopRec* enclosing);
+  const LoopRec* innermost_of(const frontend::Node* site) const;
 
-  const frontend::Node* loop_ = nullptr;
   CanonicalLoop analyzed_;
   std::vector<std::unique_ptr<LoopRec>> loops_;
-  std::map<const frontend::Node*, std::vector<const LoopRec*>> chains_;
+  /// (site, innermost enclosing canonical loop), sorted by site.
+  std::vector<std::pair<const frontend::Node*, const LoopRec*>> sites_;
   SubscriptEnv env_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -96,6 +97,13 @@ DependenceAnalyzer::DependenceAnalyzer(const SideEffectOracle& oracle,
     : oracle_(&oracle), options_(options) {}
 
 LoopVerdict DependenceAnalyzer::analyze(const Node& loop) const {
+  // canonicalize() turns away a For without its four children before the
+  // body is read.
+  return analyze(loop, loop.children.size() == 4 ? collect_accesses(loop.child(3))
+                                                 : AccessSet{});
+}
+
+LoopVerdict DependenceAnalyzer::analyze(const Node& loop, const AccessSet& accesses) const {
   LoopVerdict verdict;
   const auto canonical = canonicalize(loop);
   if (!canonical) {
@@ -112,8 +120,6 @@ LoopVerdict DependenceAnalyzer::analyze(const Node& loop) const {
     verdict.notes.push_back("body has early exit (break/goto/return)");
     return verdict;
   }
-
-  const AccessSet accesses = collect_accesses(body);
 
   // Hazards first: these abort analysis entirely (the "bail" behaviour the
   // paper's ComPar exhibits on 526/3547 test snippets).
@@ -188,7 +194,7 @@ void DependenceAnalyzer::analyze_arrays(const Node& loop, const AccessSet& acces
                                         LoopVerdict& verdict) const {
   // Direction/distance vectors per access pair over the whole canonical
   // nest (see ddtest.h).
-  const NestContext nest(loop);
+  const NestContext nest(loop, accesses);
 
   std::map<std::string, std::vector<const Access*>> arrays;
   for (const Access& a : accesses.accesses)

@@ -116,6 +116,10 @@ class DependenceAnalyzer {
   /// Analyzes one For node in full.
   LoopVerdict analyze(const frontend::Node& loop) const;
 
+  /// Same, over `accesses` = collect_accesses(loop.child(3)) that the
+  /// caller already holds, so the body is scanned once.
+  LoopVerdict analyze(const frontend::Node& loop, const AccessSet& accesses) const;
+
  private:
   void analyze_arrays(const frontend::Node& loop, const AccessSet& accesses,
                       LoopVerdict& verdict) const;

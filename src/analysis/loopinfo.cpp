@@ -1,6 +1,7 @@
 #include "analysis/loopinfo.h"
 
 #include <cmath>
+#include <functional>
 
 namespace clpp::analysis {
 

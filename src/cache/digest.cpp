@@ -42,9 +42,12 @@ std::string normalize_snippet(const std::string& code) {
         state = State::kCode;
       continue;
     }
-    const bool splice = state == State::kDirective && c == '\\' && next == '\n';
+    // A backslash before the line break (LF or CR LF) splices a directive.
+    const std::size_t eol = next == '\r' ? 2 : 1;
+    const bool splice = state == State::kDirective && c == '\\' &&
+                        i + eol < code.size() && code[i + eol] == '\n';
     if (splice || is_lexer_space(c)) {
-      if (splice) ++i;  // a spliced directive line reads as one space
+      if (splice) i += eol;  // a spliced directive line reads as one space
       if (c == '\n' && (state == State::kLineComment || state == State::kDirective)) {
         pending = '\n';  // the newline ending a `//` comment or `#` line
         state = State::kCode;

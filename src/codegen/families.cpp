@@ -1,6 +1,7 @@
 #include "codegen/families.h"
 
-#include <sstream>
+#include <concepts>
+#include <string_view>
 
 #include "codegen/names.h"
 #include "support/strings.h"
@@ -13,6 +14,30 @@ using frontend::ReductionOp;
 using frontend::ScheduleKind;
 
 namespace {
+
+/// Snippet source under construction: streams like std::ostringstream
+/// (`<<` operands evaluate left to right, so rng draws among them keep
+/// their order) but appends straight into one string.
+class Code {
+ public:
+  Code& operator<<(std::string_view text) {
+    text_ += text;
+    return *this;
+  }
+  Code& operator<<(char c) {
+    text_ += c;
+    return *this;
+  }
+  template <std::integral T>
+  Code& operator<<(T value) {
+    text_ += std::to_string(value);
+    return *this;
+  }
+  std::string str() && { return std::move(text_); }
+
+ private:
+  std::string text_;
+};
 
 /// Builds the canonical directive for a positive snippet.
 OmpDirective loop_directive(ScheduleKind schedule = ScheduleKind::kNone,
@@ -78,13 +103,13 @@ GeneratedSnippet p_init_1d(Rng& rng) {
   const std::string i = names.induction();
   const std::string arr = names.array();
   const std::string n = sampled_bound(rng, names);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n";
   const int variant = static_cast<int>(rng.range(0, 2));
   if (variant == 0) os << "    " << arr << "[" << i << "] = 0;\n";
   else if (variant == 1) os << "    " << arr << "[" << i << "] = " << i << ";\n";
   else os << "    " << arr << "[" << i << "] = " << fmt_float(rng) << ";\n";
-  return positive("init_1d", os.str(), loop_directive(ScheduleKind::kStatic));
+  return positive("init_1d", std::move(os).str(), loop_directive(ScheduleKind::kStatic));
 }
 
 /// p_init_2d: nested initialization, inner index privatized.
@@ -99,13 +124,13 @@ GeneratedSnippet p_init_2d(Rng& rng) {
   // no private clause needed. Same structure, different clause label — the
   // kind of distinction that requires more than a bag of tokens.
   const bool inline_decl = rng.chance(0.25);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << rows << "; " << i << "++)\n"
      << "    for (" << (inline_decl ? "int " : "") << j << " = 0; " << j << " < "
      << cols << "; " << j << "++)\n"
      << "        " << arr << "[" << i << "][" << j << "] = "
      << (rng.chance(0.5) ? "0" : i + " + " + j) << ";\n";
-  return positive("init_2d", os.str(),
+  return positive("init_2d", std::move(os).str(),
                   loop_directive(ScheduleKind::kStatic,
                                  inline_decl ? std::vector<std::string>{}
                                              : std::vector<std::string>{j}));
@@ -120,7 +145,7 @@ GeneratedSnippet p_elementwise(Rng& rng) {
   const std::string c = names.array();
   const std::string n = sampled_bound(rng, names);
   static constexpr const char* kPure[] = {"sqrt", "fabs", "exp", "log", "sin", "cos"};
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n    ";
   const int variant = static_cast<int>(rng.range(0, 4));
   if (variant == 0) {
@@ -142,7 +167,7 @@ GeneratedSnippet p_elementwise(Rng& rng) {
     os << c << "[" << i << "] += " << a << "[" << i << "] * " << b << "[" << i
        << "];\n";
   }
-  return positive("elementwise", os.str(),
+  return positive("elementwise", std::move(os).str(),
                   loop_directive(rng.chance(0.15) ? ScheduleKind::kStatic
                                                   : ScheduleKind::kNone));
 }
@@ -157,11 +182,11 @@ GeneratedSnippet p_offset_read(Rng& rng) {
   const std::string b = names.array();
   const std::string n = sampled_bound(rng, names);
   const int offset = static_cast<int>(rng.range(1, 2));
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = " << offset << "; " << i << " < " << n << "; " << i
      << "++)\n    " << a << "[" << i << "] = " << b << "[" << i << " - " << offset
      << "] + " << (rng.chance(0.5) ? b : a) << "[" << i << "];\n";
-  return positive("offset_read", os.str(), loop_directive());
+  return positive("offset_read", std::move(os).str(), loop_directive());
 }
 
 /// p_stencil: Jacobi-style 2D update into a second array, like the paper's
@@ -176,7 +201,7 @@ GeneratedSnippet p_stencil(Rng& rng) {
   const std::string m = names.bound();
   const bool with_residual = rng.chance(0.35);
   const bool inline_decl = rng.chance(0.25);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 1; " << i << " < " << n << " - 1; " << i << "++)\n"
      << "    for (" << (inline_decl ? "int " : "") << j << " = 1; " << j << " < " << m
      << " - 1; " << j << "++) {\n"
@@ -195,7 +220,7 @@ GeneratedSnippet p_stencil(Rng& rng) {
     reds.push_back(Reduction{ReductionOp::kMax, resid});
   }
   os << "    }\n";
-  return positive("stencil", os.str(),
+  return positive("stencil", std::move(os).str(),
                   loop_directive(ScheduleKind::kStatic,
                                  inline_decl ? std::vector<std::string>{}
                                              : std::vector<std::string>{j},
@@ -214,7 +239,7 @@ GeneratedSnippet p_sum_reduction(Rng& rng) {
   // generic scalars — the name alone must not give the label away.
   const std::string acc = rng.chance(0.5) ? names.accumulator() : names.scalar();
   const std::string n = sampled_bound(rng, names);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n    ";
   if (rng.chance(0.7)) {
     // Reduction over an opaque (but actually pure) kernel.
@@ -238,7 +263,7 @@ GeneratedSnippet p_sum_reduction(Rng& rng) {
       os << acc << " += fabs(" << a << "[" << i << "]);\n";
     }
   }
-  return positive("sum_reduction", os.str(),
+  return positive("sum_reduction", std::move(os).str(),
                   loop_directive(ScheduleKind::kNone, {},
                                  {Reduction{ReductionOp::kAdd, acc}}));
 }
@@ -253,7 +278,7 @@ GeneratedSnippet p_minmax_reduction(Rng& rng) {
   const std::string n = sampled_bound(rng, names);
   const bool is_max = rng.chance(0.6);
   const char* rel = is_max ? ">" : "<";
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++) {\n";
   std::vector<std::string> private_vars;
   const int variant = static_cast<int>(rng.range(0, 2));
@@ -272,7 +297,7 @@ GeneratedSnippet p_minmax_reduction(Rng& rng) {
     private_vars.push_back(t);
   }
   os << "}\n";
-  return positive("minmax_reduction", os.str(),
+  return positive("minmax_reduction", std::move(os).str(),
                   loop_directive(ScheduleKind::kNone, std::move(private_vars),
                                  {Reduction{is_max ? ReductionOp::kMax
                                                    : ReductionOp::kMin,
@@ -286,10 +311,10 @@ GeneratedSnippet p_prod_reduction(Rng& rng) {
   const std::string a = names.array();
   const std::string p = names.accumulator();
   const std::string n = sampled_bound(rng, names, 64, 4096);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n    " << p
      << " *= " << a << "[" << i << "];\n";
-  return positive("prod_reduction", os.str(),
+  return positive("prod_reduction", std::move(os).str(),
                   loop_directive(ScheduleKind::kNone, {},
                                  {Reduction{ReductionOp::kMul, p}}));
 }
@@ -307,7 +332,7 @@ GeneratedSnippet p_matmul(Rng& rng) {
   const std::string ni = names.bound();
   const std::string nj = names.bound();
   const std::string nl = names.bound();
-  std::ostringstream os;
+  Code os;
   if (rng.chance(0.35)) {
     os << "for (" << i << " = 0; " << i << " < " << ni << "; " << i << "++) {\n"
        << "    for (" << j << " = 0; " << j << " < " << nl << "; " << j << "++) {\n"
@@ -318,7 +343,7 @@ GeneratedSnippet p_matmul(Rng& rng) {
        << a << "[(" << i << " * " << nj << ") + " << k << "] * " << b << "[(" << k
        << " * " << nl << ") + " << j << "];\n"
        << "    }\n}\n";
-    return positive("matmul", os.str(), loop_directive(ScheduleKind::kStatic, {j, k}));
+    return positive("matmul", std::move(os).str(), loop_directive(ScheduleKind::kStatic, {j, k}));
   }
   const bool inline_decl = rng.chance(0.25);
   const std::string decl = inline_decl ? "int " : "";
@@ -329,7 +354,7 @@ GeneratedSnippet p_matmul(Rng& rng) {
      << "++)\n"
      << "            " << c << "[" << i << "][" << j << "] += " << a << "[" << i
      << "][" << k << "] * " << b << "[" << k << "][" << j << "];\n";
-  return positive("matmul", os.str(),
+  return positive("matmul", std::move(os).str(),
                   loop_directive(ScheduleKind::kStatic,
                                  inline_decl ? std::vector<std::string>{}
                                              : std::vector<std::string>{j, k}));
@@ -346,7 +371,7 @@ GeneratedSnippet p_private_temp(Rng& rng) {
   const std::string n = sampled_bound(rng, names);
   // Inline-declared temps are block-scoped: no private clause needed.
   const bool inline_decl = rng.chance(0.2);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++) {\n"
      << "    " << (inline_decl ? "double " : "") << t << " = " << a << "[" << i
      << "] * " << fmt_float(rng) << ";\n";
@@ -360,7 +385,7 @@ GeneratedSnippet p_private_temp(Rng& rng) {
        << arith(rng, {t, a + "[" + i + "]"}) << ";\n";
   }
   os << "}\n";
-  return positive("private_temp", os.str(),
+  return positive("private_temp", std::move(os).str(),
                   loop_directive(ScheduleKind::kNone,
                                  inline_decl ? std::vector<std::string>{}
                                              : std::vector<std::string>{t}));
@@ -375,7 +400,7 @@ GeneratedSnippet p_extern_kernel(Rng& rng) {
   const std::string fn = names.compute_function();
   const std::string n = sampled_bound(rng, names);
   const bool dynamic = rng.chance(0.5);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n    ";
   if (rng.chance(0.5)) {
     os << a << "[" << i << "] = " << fn << "(" << a << "[" << i << "], " << i
@@ -383,7 +408,7 @@ GeneratedSnippet p_extern_kernel(Rng& rng) {
   } else {
     os << a << "[" << i << "] = " << fn << "(" << i << ");\n";
   }
-  return positive("extern_kernel", os.str(),
+  return positive("extern_kernel", std::move(os).str(),
                   loop_directive(dynamic ? ScheduleKind::kDynamic
                                          : ScheduleKind::kNone));
 }
@@ -397,7 +422,7 @@ GeneratedSnippet p_unbalanced_if(Rng& rng) {
   const std::string heavy = names.compute_function();
   const std::string n = sampled_bound(rng, names);
   const std::string x = names.scalar();
-  std::ostringstream os;
+  Code os;
   // Half the time the heavy helper's body is elsewhere in the project —
   // the developer knows it is pure, the S2S compiler does not.
   if (rng.chance(0.5)) {
@@ -410,7 +435,7 @@ GeneratedSnippet p_unbalanced_if(Rng& rng) {
      << "        " << a << "[" << i << "] = " << heavy << "(" << a << "[" << i
      << "]);\n"
      << "}\n";
-  return positive("unbalanced_if", os.str(),
+  return positive("unbalanced_if", std::move(os).str(),
                   loop_directive(ScheduleKind::kDynamic));
 }
 
@@ -423,13 +448,13 @@ GeneratedSnippet p_triangular(Rng& rng) {
   const std::string f = names.array();
   const std::string n = names.bound();
   const bool inline_decl = rng.chance(0.25);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n"
      << "    for (" << (inline_decl ? "int " : "") << j << " = " << i << " + 1; "
      << j << " < " << n << "; " << j << "++)\n"
      << "        " << f << "[" << i << "][" << j << "] = " << a << "[" << i
      << "][" << j << "] - " << a << "[" << j << "][" << i << "];\n";
-  return positive("triangular", os.str(),
+  return positive("triangular", std::move(os).str(),
                   loop_directive(rng.chance(0.5) ? ScheduleKind::kDynamic
                                                  : ScheduleKind::kStatic,
                                  inline_decl ? std::vector<std::string>{}
@@ -446,13 +471,13 @@ GeneratedSnippet p_local_pure_call(Rng& rng) {
   const std::string fn = names.compute_function();
   const std::string x = names.scalar();
   const std::string n = sampled_bound(rng, names);
-  std::ostringstream os;
+  Code os;
   os << "double " << fn << "(double " << x << ") {\n"
      << "    return " << arith(rng, {x, x}) << ";\n"
      << "}\n"
      << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n"
      << "    " << b << "[" << i << "] = " << fn << "(" << a << "[" << i << "]);\n";
-  return positive("local_pure_call", os.str(), loop_directive());
+  return positive("local_pure_call", std::move(os).str(), loop_directive());
 }
 
 // ===== negative families ======================================================
@@ -466,7 +491,7 @@ GeneratedSnippet n_io_loop(Rng& rng) {
   const std::string i = names.induction();
   const std::string arr = names.array();
   const std::string n = sampled_bound(rng, names, 16, 4096);
-  std::ostringstream os;
+  Code os;
   const int variant = static_cast<int>(rng.range(0, 2));
   if (variant == 0) {
     const std::string f = names.serial_name();
@@ -479,7 +504,7 @@ GeneratedSnippet n_io_loop(Rng& rng) {
     os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n"
        << "    scanf(\"%d\", " << arr << " + " << i << ");\n";
   }
-  return snippet("io_loop", os.str());
+  return snippet("io_loop", std::move(os).str());
 }
 
 /// n_recurrence: true loop-carried array recurrence.
@@ -489,7 +514,7 @@ GeneratedSnippet n_recurrence(Rng& rng) {
   const std::string a = names.array();
   const std::string b = names.array();
   const std::string n = sampled_bound(rng, names);
-  std::ostringstream os;
+  Code os;
   const int variant = static_cast<int>(rng.range(0, 2));
   if (variant == 0) {
     os << "for (" << i << " = 1; " << i << " < " << n << "; " << i << "++)\n"
@@ -504,7 +529,7 @@ GeneratedSnippet n_recurrence(Rng& rng) {
        << "    " << a << "[" << i << "] = " << a << "[" << i << " - 1] + " << a
        << "[" << i << " - 2];\n";
   }
-  return snippet("recurrence", os.str());
+  return snippet("recurrence", std::move(os).str());
 }
 
 /// n_pointer_chase: linked-structure walk (hostile to every S2S parser).
@@ -515,14 +540,14 @@ GeneratedSnippet n_pointer_chase(Rng& rng) {
   const std::string head = names.serial_name();
   const std::string total = names.accumulator();
   const std::string n = names.bound();
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++) {\n"
      << "    " << total << " += " << p << "->value;\n"
      << "    " << p << " = " << p << "->next;\n"
      << "}\n";
   if (rng.chance(0.4))
     os << head << " = " << p << ";\n";
-  return snippet("pointer_chase", os.str());
+  return snippet("pointer_chase", std::move(os).str());
 }
 
 /// n_small_trip: technically parallel but pointless (tiny literal bound).
@@ -533,10 +558,10 @@ GeneratedSnippet n_small_trip(Rng& rng) {
   const std::string i = names.induction();
   const std::string arr = names.array();
   const long long trip = rng.chance(0.5) ? rng.range(2, 7) : rng.range(8, 64);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << trip << "; " << i << "++)\n"
      << "    " << arr << "[" << i << "] = " << (rng.chance(0.5) ? "0" : i) << ";\n";
-  return snippet("small_trip", os.str());
+  return snippet("small_trip", std::move(os).str());
 }
 
 /// n_scalar_carried: use-before-def scalar — the order twin of
@@ -548,13 +573,13 @@ GeneratedSnippet n_scalar_carried(Rng& rng) {
   const std::string b = names.array();
   const std::string t = names.scalar();
   const std::string n = sampled_bound(rng, names);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++) {\n"
      << "    " << b << "[" << i << "] = " << t << " + "
      << arith(rng, {t, a + "[" + i + "]"}) << ";\n"
      << "    " << t << " = " << a << "[" << i << "] * " << fmt_float(rng) << ";\n"
      << "}\n";
-  return snippet("scalar_carried", os.str());
+  return snippet("scalar_carried", std::move(os).str());
 }
 
 /// n_alloc_loop: allocation/free inside the loop body.
@@ -564,7 +589,7 @@ GeneratedSnippet n_alloc_loop(Rng& rng) {
   const std::string p = names.serial_name();
   const std::string a = names.array();
   const std::string n = sampled_bound(rng, names, 16, 1024);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++) {\n"
      << "    " << p << " = (double *) malloc(" << rng.range(8, 256)
      << " * sizeof(double));\n"
@@ -572,7 +597,7 @@ GeneratedSnippet n_alloc_loop(Rng& rng) {
      << "    " << a << "[" << i << "] = " << p << "[0] * 2;\n"
      << "    free(" << p << ");\n"
      << "}\n";
-  return snippet("alloc_loop", os.str());
+  return snippet("alloc_loop", std::move(os).str());
 }
 
 /// n_early_exit: search loop with break.
@@ -583,14 +608,14 @@ GeneratedSnippet n_early_exit(Rng& rng) {
   const std::string key = names.scalar();
   const std::string found = names.scalar();
   const std::string n = sampled_bound(rng, names, 64, 1 << 16);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++) {\n"
      << "    if (" << a << "[" << i << "] == " << key << ") {\n"
      << "        " << found << " = " << i << ";\n"
      << "        break;\n"
      << "    }\n"
      << "}\n";
-  return snippet("early_exit", os.str());
+  return snippet("early_exit", std::move(os).str());
 }
 
 /// n_indirect_write: scatter through an index array — potential write race.
@@ -601,11 +626,11 @@ GeneratedSnippet n_indirect_write(Rng& rng) {
   const std::string idx = names.array();
   const std::string w = names.array();
   const std::string n = sampled_bound(rng, names);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n"
      << "    " << hist << "[" << idx << "[" << i << "]] += " << w << "[" << i
      << "];\n";
-  return snippet("indirect_write", os.str());
+  return snippet("indirect_write", std::move(os).str());
 }
 
 /// n_opaque_accumulate: s = combine(s, a[i]) — non-reducible accumulation.
@@ -615,7 +640,7 @@ GeneratedSnippet n_opaque_accumulate(Rng& rng) {
   const std::string a = names.array();
   const std::string s = names.accumulator();
   const std::string n = sampled_bound(rng, names);
-  std::ostringstream os;
+  Code os;
   const int variant = static_cast<int>(rng.range(0, 1));
   if (variant == 0) {
     os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n"
@@ -627,7 +652,7 @@ GeneratedSnippet n_opaque_accumulate(Rng& rng) {
        << "    " << s << " = " << fn << "(" << s << ", " << a << "[" << i
        << "]);\n";
   }
-  return snippet("opaque_accumulate", os.str());
+  return snippet("opaque_accumulate", std::move(os).str());
 }
 
 /// n_rand_loop: rand()/time() in the body.
@@ -636,10 +661,10 @@ GeneratedSnippet n_rand_loop(Rng& rng) {
   const std::string i = names.induction();
   const std::string a = names.array();
   const std::string n = sampled_bound(rng, names, 16, 1 << 14);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n"
      << "    " << a << "[" << i << "] = rand() % " << rng.range(2, 1000) << ";\n";
-  return snippet("rand_loop", os.str());
+  return snippet("rand_loop", std::move(os).str());
 }
 
 /// n_goto_cleanup: error-handling with goto (ComPar compile failure).
@@ -649,7 +674,7 @@ GeneratedSnippet n_goto_cleanup(Rng& rng) {
   const std::string a = names.array();
   const std::string err = names.scalar();
   const std::string n = sampled_bound(rng, names, 16, 4096);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++) {\n"
      << "    if (" << a << "[" << i << "] < 0)\n"
      << "        goto fail;\n"
@@ -657,7 +682,7 @@ GeneratedSnippet n_goto_cleanup(Rng& rng) {
      << "}\n"
      << "fail:\n"
      << err << " = 1;\n";
-  return snippet("goto_cleanup", os.str());
+  return snippet("goto_cleanup", std::move(os).str());
 }
 
 /// n_outer_dependent: inner loop writes a shared row — outer is serial.
@@ -669,12 +694,12 @@ GeneratedSnippet n_outer_dependent(Rng& rng) {
   const std::string a = names.array();
   const std::string n = names.bound();
   const std::string m = names.bound();
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n"
      << "    for (" << j << " = 0; " << j << " < " << m << "; " << j << "++)\n"
      << "        " << row << "[" << j << "] += " << a << "[" << i << "][" << j
      << "];\n";
-  return snippet("outer_dependent", os.str());
+  return snippet("outer_dependent", std::move(os).str());
 }
 
 /// n_string_ops: byte-wise string handling.
@@ -683,11 +708,11 @@ GeneratedSnippet n_string_ops(Rng& rng) {
   const std::string i = names.induction();
   const std::string s = names.serial_name();
   const std::string d = names.serial_name();
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << s << "[" << i << "] != 0; " << i << "++)\n"
      << "    " << d << "[" << i << "] = " << s << "[" << i << "]"
      << (rng.chance(0.5) ? " + 32" : "") << ";\n";
-  return snippet("string_ops", os.str());
+  return snippet("string_ops", std::move(os).str());
 }
 
 /// n_last_index: remembers the last matching index — carried scalar.
@@ -698,13 +723,13 @@ GeneratedSnippet n_last_index(Rng& rng) {
   const std::string pos = names.scalar();
   const std::string key = names.scalar();
   const std::string n = sampled_bound(rng, names);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++) {\n"
      << "    if (" << a << "[" << i << "] == " << key << ")\n"
      << "        " << pos << " = " << i << ";\n"
      << "    " << a << "[" << i << "] = " << a << "[" << i << "];\n"
      << "}\n";
-  return snippet("last_index", os.str());
+  return snippet("last_index", std::move(os).str());
 }
 
 /// n_unannotated: dependence-free loops that developers left serial — the
@@ -723,7 +748,7 @@ GeneratedSnippet n_unannotated(Rng& rng) {
   NamePool names(rng, style_twin ? NameStyle::kSerial : NameStyle::kMixed);
   const std::string i = names.induction();
   const std::string dst = names.array();
-  std::ostringstream os;
+  Code os;
 
   if (style_twin) {
     const std::string n = sampled_bound(rng, names);
@@ -741,7 +766,7 @@ GeneratedSnippet n_unannotated(Rng& rng) {
       os << dst << "[" << i << "] = " << a << "[" << i << "] + " << b << "[" << i
          << "];\n";
     }
-    return snippet("unannotated", os.str());
+    return snippet("unannotated", std::move(os).str());
   }
 
   // Cold-path setup/copy loops: small literal bounds, preambles.
@@ -762,7 +787,7 @@ GeneratedSnippet n_unannotated(Rng& rng) {
   } else {
     os << dst << "[" << i << "] = " << i << " * " << rng.range(1, 8) << ";\n";
   }
-  return snippet("unannotated", os.str());
+  return snippet("unannotated", std::move(os).str());
 }
 
 /// n_impure_local_call: helper writing a global — visible impurity.
@@ -774,14 +799,14 @@ GeneratedSnippet n_impure_local_call(Rng& rng) {
   const std::string g = names.scalar();
   const std::string x = names.scalar();
   const std::string n = sampled_bound(rng, names, 64, 1 << 16);
-  std::ostringstream os;
+  Code os;
   os << "double " << fn << "(double " << x << ") {\n"
      << "    " << g << " += " << x << ";\n"
      << "    return " << g << ";\n"
      << "}\n"
      << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n"
      << "    " << a << "[" << i << "] = " << fn << "(" << a << "[" << i << "]);\n";
-  return snippet("impure_local_call", os.str());
+  return snippet("impure_local_call", std::move(os).str());
 }
 
 // ===== simd families =========================================================
@@ -807,7 +832,7 @@ GeneratedSnippet s_simd_saxpy(Rng& rng) {
   const std::string y = names.array();
   const std::string alpha = names.scalar();
   const std::string n = sampled_bound(rng, names);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n    ";
   const int variant = static_cast<int>(rng.range(0, 2));
   if (variant == 0)
@@ -818,7 +843,7 @@ GeneratedSnippet s_simd_saxpy(Rng& rng) {
   else
     os << y << "[" << i << "] = " << x << "[" << i << "] * " << fmt_float(rng)
        << ";\n";
-  return positive("simd_saxpy", os.str(), simd_directive());
+  return positive("simd_saxpy", std::move(os).str(), simd_directive());
 }
 
 /// s_simd_offset_stream: a[i] = a[i-K] + b[i] — carried distance exactly K,
@@ -831,11 +856,11 @@ GeneratedSnippet s_simd_offset_stream(Rng& rng) {
   const std::string b = names.array();
   const std::string n = sampled_bound(rng, names);
   const int k = static_cast<int>(rng.range(2, 8));
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = " << k << "; " << i << " < " << n << "; " << i
      << "++)\n    " << a << "[" << i << "] = " << a << "[" << i << " - " << k
      << "] + " << b << "[" << i << "];\n";
-  return positive("simd_offset_stream", os.str(), simd_directive(k));
+  return positive("simd_offset_stream", std::move(os).str(), simd_directive(k));
 }
 
 /// s_simd_reduction: horizontal sum under `omp simd reduction(+: s)`.
@@ -845,7 +870,7 @@ GeneratedSnippet s_simd_reduction(Rng& rng) {
   const std::string a = names.array();
   const std::string acc = names.accumulator();
   const std::string n = sampled_bound(rng, names);
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << n << "; " << i << "++)\n    ";
   if (rng.chance(0.5)) {
     const std::string b = names.array();
@@ -853,7 +878,7 @@ GeneratedSnippet s_simd_reduction(Rng& rng) {
   } else {
     os << acc << " += " << a << "[" << i << "];\n";
   }
-  return positive("simd_reduction", os.str(),
+  return positive("simd_reduction", std::move(os).str(),
                   simd_directive(0, {Reduction{ReductionOp::kAdd, acc}}));
 }
 
@@ -868,12 +893,12 @@ GeneratedSnippet s_simd_nest(Rng& rng) {
   const std::string out = names.array();
   const std::string rows = names.bound();
   const std::string cols = names.bound();
-  std::ostringstream os;
+  Code os;
   os << "for (" << i << " = 0; " << i << " < " << rows << "; " << i << "++)\n"
      << "    for (" << j << " = 0; " << j << " < " << cols << "; " << j << "++)\n"
      << "        " << out << "[" << i << "][" << j << "] = " << in << "[" << i
      << "][" << j << "] * " << fmt_float(rng) << ";\n";
-  return positive("simd_nest", os.str(),
+  return positive("simd_nest", std::move(os).str(),
                   loop_directive(ScheduleKind::kStatic, {j}));
 }
 

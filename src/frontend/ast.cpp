@@ -1,7 +1,5 @@
 #include "frontend/ast.h"
 
-#include <functional>
-
 namespace clpp::frontend {
 
 NodePtr Node::clone() const {
@@ -85,17 +83,6 @@ std::string node_label(const Node& node) {
     default:
       return node_kind_name(node.kind) + ":";
   }
-}
-
-void walk(const Node& node, const std::function<void(const Node&, int)>& fn,
-          int depth) {
-  fn(node, depth);
-  for (const NodePtr& c : node.children) walk(*c, fn, depth + 1);
-}
-
-void walk_mut(Node& node, const std::function<void(Node&, int)>& fn, int depth) {
-  fn(node, depth);
-  for (NodePtr& c : node.children) walk_mut(*c, fn, depth + 1);
 }
 
 std::size_t count_kind(const Node& node, NodeKind kind) {

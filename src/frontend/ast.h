@@ -28,7 +28,6 @@
 //   Constant   text=value aux=type ("int"/"float"/"char"/"string")
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -115,11 +114,18 @@ NodePtr make_float(std::string value);
 std::string node_label(const Node& node);
 
 /// Pre-order (DFS) visit; `fn(node, depth)` for every node.
-void walk(const Node& node,
-          const std::function<void(const Node&, int)>& fn, int depth = 0);
+template <typename Fn>
+void walk(const Node& node, Fn&& fn, int depth = 0) {
+  fn(node, depth);
+  for (const NodePtr& c : node.children) walk(*c, fn, depth + 1);
+}
 
 /// Mutable pre-order visit.
-void walk_mut(Node& node, const std::function<void(Node&, int)>& fn, int depth = 0);
+template <typename Fn>
+void walk_mut(Node& node, Fn&& fn, int depth = 0) {
+  fn(node, depth);
+  for (NodePtr& c : node.children) walk_mut(*c, fn, depth + 1);
+}
 
 /// Counts nodes of a given kind in the subtree.
 std::size_t count_kind(const Node& node, NodeKind kind);

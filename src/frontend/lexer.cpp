@@ -1,6 +1,5 @@
 #include "frontend/lexer.h"
 
-#include <array>
 #include <cctype>
 
 #include "support/error.h"
@@ -24,7 +23,7 @@ std::string token_kind_name(TokenKind kind) {
 }
 
 bool is_c_keyword(std::string_view word) {
-  static constexpr std::array kKeywords = {
+  static constexpr std::string_view kKeywords[] = {
       "auto",     "break",    "case",     "char",   "const",    "continue",
       "default",  "do",       "double",   "else",   "enum",     "extern",
       "float",    "for",      "goto",     "if",     "inline",   "int",
@@ -38,19 +37,15 @@ bool is_c_keyword(std::string_view word) {
 
 namespace {
 
-/// Multi-character operators, longest first so maximal munch works.
-constexpr std::array<std::string_view, 19> kMultiPunct = {
-    "<<=", ">>=", "...", "->", "++", "--", "<<", ">>", "<=", ">=",
-    "==",  "!=",  "&&",  "||", "+=", "-=", "*=", "/=", "%="};
-constexpr std::array<std::string_view, 6> kMultiPunct2 = {"&=", "|=", "^=",
-                                                          "##", "::", "->"};
-
 class Lexer {
  public:
   explicit Lexer(std::string_view source) : src_(source) {}
 
   std::vector<Token> run() {
     std::vector<Token> tokens;
+    // Loop snippets average about 2.25 source bytes a token, so half the
+    // byte count holds one without regrowing.
+    tokens.reserve(src_.size() / 2 + 8);
     while (true) {
       skip_whitespace_and_comments();
       if (at_end()) break;
@@ -123,11 +118,15 @@ class Lexer {
     std::string text;
     advance();  // '#'
     while (!at_end() && peek() != '\n') {
-      if (peek() == '\\' && peek(1) == '\n') {
-        advance();
-        advance();
-        text.push_back(' ');
-        continue;
+      // A backslash before the line break (LF or CR LF) splices the next
+      // line onto this one.
+      if (peek() == '\\') {
+        const std::size_t eol = peek(1) == '\r' ? 2 : 1;
+        if (peek(eol) == '\n') {
+          for (std::size_t i = 0; i <= eol; ++i) advance();
+          text.push_back(' ');
+          continue;
+        }
       }
       text.push_back(advance());
     }
@@ -141,41 +140,40 @@ class Lexer {
   }
 
   Token identifier(int line, int col) {
-    std::string text;
+    const std::size_t start = pos_;
     while (!at_end() && (std::isalnum(static_cast<unsigned char>(peek())) ||
                          peek() == '_'))
-      text.push_back(advance());
+      ++pos_;
+    const std::string_view text = src_.substr(start, pos_ - start);
+    column_ += static_cast<int>(text.size());
     const TokenKind kind =
         is_c_keyword(text) ? TokenKind::kKeyword : TokenKind::kIdentifier;
-    return Token{kind, std::move(text), line, col};
+    return Token{kind, std::string(text), line, col};
   }
 
   Token number(int line, int col) {
-    std::string text;
+    const std::size_t start = pos_;
     bool is_float = false;
     if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
-      text.push_back(advance());
-      text.push_back(advance());
-      while (!at_end() && std::isxdigit(static_cast<unsigned char>(peek())))
-        text.push_back(advance());
+      advance();
+      advance();
+      while (!at_end() && std::isxdigit(static_cast<unsigned char>(peek()))) advance();
     } else {
-      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek())))
-        text.push_back(advance());
+      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) advance();
       if (peek() == '.') {
         is_float = true;
-        text.push_back(advance());
-        while (!at_end() && std::isdigit(static_cast<unsigned char>(peek())))
-          text.push_back(advance());
+        advance();
+        while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) advance();
       }
       if (peek() == 'e' || peek() == 'E') {
         is_float = true;
-        text.push_back(advance());
-        if (peek() == '+' || peek() == '-') text.push_back(advance());
+        advance();
+        if (peek() == '+' || peek() == '-') advance();
         if (!std::isdigit(static_cast<unsigned char>(peek()))) fail("bad exponent");
-        while (!at_end() && std::isdigit(static_cast<unsigned char>(peek())))
-          text.push_back(advance());
+        while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) advance();
       }
     }
+    std::string text(src_.substr(start, pos_ - start));
     // Suffixes (u, l, f) are consumed but not recorded in the value text.
     while (peek() == 'u' || peek() == 'U' || peek() == 'l' || peek() == 'L' ||
            peek() == 'f' || peek() == 'F') {
@@ -214,25 +212,58 @@ class Lexer {
     return Token{TokenKind::kCharLiteral, std::move(text), line, col};
   }
 
+  /// Operators and punctuation by maximal munch: the first character picks
+  /// the candidates, the longest spelling that matches wins.
   Token punct(int line, int col) {
-    const std::string_view rest = src_.substr(pos_);
-    for (std::string_view op : kMultiPunct) {
-      if (starts_with(rest, op)) {
-        for (std::size_t i = 0; i < op.size(); ++i) advance();
-        return Token{TokenKind::kPunct, std::string(op), line, col};
-      }
+    const char c = peek();
+    const char c1 = peek(1);
+    std::size_t length = 1;
+    switch (c) {
+      case '<':
+      case '>':  // << <<= <= and >> >>= >=
+        length = c1 == c ? (peek(2) == '=' ? 3 : 2) : (c1 == '=' ? 2 : 1);
+        break;
+      case '-':
+        length = c1 == '>' || c1 == '-' || c1 == '=' ? 2 : 1;
+        break;
+      case '+':
+      case '&':
+      case '|':  // ++ += && &= || |=
+        length = c1 == c || c1 == '=' ? 2 : 1;
+        break;
+      case '=':
+      case '!':
+      case '*':
+      case '/':
+      case '%':
+      case '^':
+        length = c1 == '=' ? 2 : 1;
+        break;
+      case '.':
+        length = c1 == '.' && peek(2) == '.' ? 3 : 1;
+        break;
+      case ':':
+        length = c1 == ':' ? 2 : 1;
+        break;
+      case '~':
+      case '?':
+      case ';':
+      case ',':
+      case '(':
+      case ')':
+      case '[':
+      case ']':
+      case '{':
+      case '}':
+        break;
+      default:
+        advance();
+        fail(std::string("unexpected character '") + c + "'");
     }
-    for (std::string_view op : kMultiPunct2) {
-      if (starts_with(rest, op)) {
-        for (std::size_t i = 0; i < op.size(); ++i) advance();
-        return Token{TokenKind::kPunct, std::string(op), line, col};
-      }
-    }
-    const char c = advance();
-    static constexpr std::string_view kSingles = "+-*/%=<>!&|^~?:;,.()[]{}";
-    if (kSingles.find(c) == std::string_view::npos)
-      fail(std::string("unexpected character '") + c + "'");
-    return Token{TokenKind::kPunct, std::string(1, c), line, col};
+    Token token{TokenKind::kPunct, std::string(src_.substr(pos_, length)), line, col};
+    pos_ += length;
+    column_ += static_cast<int>(length);
+    return token;
   }
 
   std::string_view src_;

@@ -1,7 +1,6 @@
 #include "frontend/pragma.h"
 
 #include <cctype>
-#include <sstream>
 
 #include "support/strings.h"
 
@@ -258,28 +257,27 @@ OmpDirective parse_omp_pragma(std::string_view text) {
 }
 
 std::string OmpDirective::to_string() const {
-  std::ostringstream os;
-  os << "#pragma omp";
-  if (parallel) os << " parallel";
-  if (for_loop) os << " for";
-  if (simd) os << " simd";
-  if (critical) os << " critical";
-  if (atomic) os << " atomic";
-  if (barrier) os << " barrier";
-  if (single) os << " single";
-  if (master) os << " master";
+  std::string out = "#pragma omp";
+  if (parallel) out += " parallel";
+  if (for_loop) out += " for";
+  if (simd) out += " simd";
+  if (critical) out += " critical";
+  if (atomic) out += " atomic";
+  if (barrier) out += " barrier";
+  if (single) out += " single";
+  if (master) out += " master";
   if (schedule != ScheduleKind::kNone) {
-    os << " schedule(" << schedule_name(schedule);
-    if (schedule_chunk > 0) os << ", " << schedule_chunk;
-    os << ')';
+    out += " schedule(" + schedule_name(schedule);
+    if (schedule_chunk > 0) out += ", " + std::to_string(schedule_chunk);
+    out += ')';
   }
-  if (collapse > 0) os << " collapse(" << collapse << ')';
-  if (safelen > 0) os << " safelen(" << safelen << ')';
-  if (simdlen > 0) os << " simdlen(" << simdlen << ')';
-  if (!num_threads.empty()) os << " num_threads(" << num_threads << ')';
-  auto list = [&os](const char* name, const std::vector<std::string>& vars) {
+  if (collapse > 0) out += " collapse(" + std::to_string(collapse) + ")";
+  if (safelen > 0) out += " safelen(" + std::to_string(safelen) + ")";
+  if (simdlen > 0) out += " simdlen(" + std::to_string(simdlen) + ")";
+  if (!num_threads.empty()) out += " num_threads(" + num_threads + ")";
+  auto list = [&out](const char* name, const std::vector<std::string>& vars) {
     if (vars.empty()) return;
-    os << ' ' << name << '(' << join(vars, ", ") << ')';
+    out += std::string(" ") + name + "(" + join(vars, ", ") + ")";
   };
   list("private", private_vars);
   list("firstprivate", firstprivate_vars);
@@ -289,20 +287,20 @@ std::string OmpDirective::to_string() const {
     // Group by operator for canonical output.
     for (std::size_t i = 0; i < reductions.size(); ++i) {
       if (i > 0 && reductions[i].op == reductions[i - 1].op) continue;
-      os << " reduction(" << reduction_op_name(reductions[i].op) << ": ";
+      out += " reduction(" + reduction_op_name(reductions[i].op) + ": ";
       bool first = true;
       for (const Reduction& r : reductions) {
         if (r.op != reductions[i].op) continue;
-        if (!first) os << ", ";
+        if (!first) out += ", ";
         first = false;
-        os << r.variable;
+        out += r.variable;
       }
-      os << ')';
+      out += ')';
     }
   }
-  if (nowait) os << " nowait";
-  for (const std::string& clause : unknown_clauses) os << ' ' << clause;
-  return os.str();
+  if (nowait) out += " nowait";
+  for (const std::string& clause : unknown_clauses) out += " " + clause;
+  return out;
 }
 
 }  // namespace clpp::frontend

@@ -228,9 +228,10 @@ void Linter::lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_
     return;
   }
 
-  const analysis::DependenceAnalyzer analyzer(oracle, options_.analyzer);
-  const analysis::LoopVerdict verdict = analyzer.analyze(loop);
+  // One scan of the body serves the analyzer and every rule below.
   const AccessSet accesses = analysis::collect_accesses(body);
+  const analysis::DependenceAnalyzer analyzer(oracle, options_.analyzer);
+  const analysis::LoopVerdict verdict = analyzer.analyze(loop, accesses);
 
   // --- unknown-call-effect: every non-pure direct callee, once each.
   std::set<std::string> reported_calls;

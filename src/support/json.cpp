@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 namespace clpp {
 
@@ -95,8 +94,11 @@ const std::map<std::string, Json>& Json::fields() const {
   return obj_;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out = "\"";
+namespace {
+
+/// Appends `s` to `out` as a quoted JSON string.
+void append_escaped(std::string& out, std::string_view s) {
+  out.push_back('"');
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -115,46 +117,55 @@ std::string json_escape(std::string_view s) {
     }
   }
   out.push_back('"');
+}
+
+}  // namespace
+
+std::string Json::dump() const {
+  std::string out;
+  dump_to(out);
   return out;
 }
 
-std::string Json::dump() const {
-  std::ostringstream os;
+void Json::dump_to(std::string& out) const {
   switch (type_) {
-    case Type::kNull: os << "null"; break;
-    case Type::kBool: os << (bool_ ? "true" : "false"); break;
+    case Type::kNull: out += "null"; break;
+    case Type::kBool: out += bool_ ? "true" : "false"; break;
     case Type::kNumber: {
-      if (num_ == std::floor(num_) && std::abs(num_) < 9.0e15) {
-        os << static_cast<std::int64_t>(num_);
-      } else {
-        os.precision(17);
-        os << num_;
-      }
+      // Integral values below 9e15 print as integers; anything else with
+      // 17 significant digits, enough to round-trip a double.
+      char buf[32];
+      const int n = num_ == std::floor(num_) && std::abs(num_) < 9.0e15
+                        ? std::snprintf(buf, sizeof buf, "%lld",
+                                        static_cast<long long>(num_))
+                        : std::snprintf(buf, sizeof buf, "%.17g", num_);
+      out.append(buf, static_cast<std::size_t>(n));
       break;
     }
-    case Type::kString: os << json_escape(str_); break;
+    case Type::kString: append_escaped(out, str_); break;
     case Type::kArray: {
-      os << '[';
+      out.push_back('[');
       for (std::size_t i = 0; i < arr_.size(); ++i) {
-        if (i) os << ',';
-        os << arr_[i].dump();
+        if (i) out.push_back(',');
+        arr_[i].dump_to(out);
       }
-      os << ']';
+      out.push_back(']');
       break;
     }
     case Type::kObject: {
-      os << '{';
+      out.push_back('{');
       bool first = true;
       for (const auto& [k, v] : obj_) {
-        if (!first) os << ',';
+        if (!first) out.push_back(',');
         first = false;
-        os << json_escape(k) << ':' << v.dump();
+        append_escaped(out, k);
+        out.push_back(':');
+        v.dump_to(out);
       }
-      os << '}';
+      out.push_back('}');
       break;
     }
   }
-  return os.str();
 }
 
 namespace {

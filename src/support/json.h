@@ -69,6 +69,9 @@ class Json {
   static Json parse(std::string_view text);
 
  private:
+  /// Appends the compact serialization to `out`.
+  void dump_to(std::string& out) const;
+
   Type type_;
   bool bool_ = false;
   double num_ = 0;
@@ -76,8 +79,5 @@ class Json {
   std::vector<Json> arr_;
   std::map<std::string, Json> obj_;
 };
-
-/// Escapes a string for embedding in JSON output (adds surrounding quotes).
-std::string json_escape(std::string_view s);
 
 }  // namespace clpp

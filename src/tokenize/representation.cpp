@@ -1,5 +1,6 @@
 #include "tokenize/representation.h"
 
+#include <functional>
 #include <set>
 
 #include "analysis/sideeffects.h"

@@ -599,8 +599,8 @@ TEST(DdtestV2, NestContextExposesDirectionBitmasks) {
       "  for (j = 0; j < m; j++)\n"
       "    A[i][j] = A[i - 1][j] + 1.0;");
   const frontend::Node& loop = first_for(*unit);
-  NestContext nest(loop);
   const AccessSet accesses = collect_accesses(loop.child(3));
+  const NestContext nest(loop, accesses);
   const auto writes = accesses.writes_of("A");
   const auto reads = accesses.reads_of("A");
   ASSERT_EQ(writes.size(), 1u);
@@ -618,6 +618,71 @@ TEST(DdtestV2, NestContextExposesDirectionBitmasks) {
   EXPECT_EQ(pair.levels[1].dirs, kDirEq);
   ASSERT_TRUE(pair.carried_distance().has_value());
   EXPECT_EQ(*pair.carried_distance(), 1);
+}
+
+TEST(DdtestV2, NestContextChainsOnImperfectNest) {
+  // Accesses between loops, in a sibling inner loop, inside a `while` and
+  // inside a non-canonical `for`: each site's chain is its own run of
+  // enclosing canonical loops, and a pair is tested over the part the two
+  // chains share.
+  static NodePtr unit = parse_snippet(
+      "for (i = 0; i < n; i++) {\n"          // 1
+      "  A[i] = B[i];\n"                     // 2
+      "  for (j = 0; j < m; j++) {\n"        // 3
+      "    C[i][j] = A[i] + 1.0;\n"          // 4
+      "    G[j] = C[i][j];\n"                // 5
+      "    for (k = 0; k < p; k++)\n"        // 6
+      "      D[i][j][k] = C[i][j] * 2.0;\n"  // 7
+      "  }\n"                                // 8
+      "  for (r = 0; r < m; r++)\n"          // 9
+      "    G[r] = A[i];\n"                   // 10
+      "  t = 0;\n"                           // 11
+      "  while (t < m) {\n"                  // 12
+      "    E[i] = E[i] + C[i][t];\n"         // 13
+      "    t++;\n"                           // 14
+      "  }\n"                                // 15
+      "  for (q = 0; q * q < n; q++)\n"      // 16
+      "    F[i][q] = A[i];\n"                // 17
+      "}");
+  const frontend::Node& loop = first_for(*unit);
+  const AccessSet accesses = collect_accesses(loop.child(3));
+  const NestContext nest(loop, accesses);
+  const auto at = [&](const char* array, bool write, int line) -> const Access& {
+    for (const Access& a : accesses.accesses)
+      if (a.is_array && a.variable == array && a.is_write == write && a.site->line == line)
+        return a;
+    throw std::runtime_error("no such access in test snippet");
+  };
+  const DepLevel i_eq{"i", kDirEq, 0};
+  const DepLevel j_eq{"j", kDirEq, 0};
+  const DepLevel k_eq{"k", kDirEq, 0};
+  const DepLevel i_any{"i", kDirAll, std::nullopt};
+
+  struct Case {
+    const char* what;
+    const Access& src;
+    const Access& snk;
+    std::vector<DepLevel> levels;
+    bool exact;
+  };
+  const std::vector<Case> cases = {
+      {"between loops vs depth 2", at("A", true, 2), at("A", false, 4), {i_eq}, true},
+      {"between loops vs non-canonical for", at("A", true, 2), at("A", false, 17), {i_eq},
+       true},
+      {"depth 2 vs depth 3", at("C", true, 4), at("C", false, 7), {i_eq, j_eq}, true},
+      {"depth 2 vs while", at("C", true, 4), at("C", false, 13), {i_eq}, false},
+      {"depth 3 self", at("D", true, 7), at("D", true, 7), {i_eq, j_eq, k_eq}, true},
+      {"depth 2 self", at("G", true, 5), at("G", true, 5), {i_any, j_eq}, true},
+      {"sibling inner loops", at("G", true, 5), at("G", true, 10), {i_any}, true},
+      {"inside while", at("E", true, 13), at("E", false, 13), {i_eq}, true},
+      {"non-canonical for self", at("F", true, 17), at("F", true, 17), {i_eq}, false},
+  };
+  for (const Case& c : cases) {
+    const PairResult pair = nest.test_pair(c.src, c.snk);
+    EXPECT_TRUE(pair.possible) << c.what;
+    EXPECT_EQ(pair.exact, c.exact) << c.what;
+    EXPECT_EQ(pair.levels, c.levels) << c.what;
+  }
 }
 
 TEST(DdtestV2, DirectionTextRendering) {

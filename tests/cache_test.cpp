@@ -67,6 +67,20 @@ TEST(SnippetDigest, NewlineEndingADirectiveIsSignificant) {
             snippet_digest(directive));
 }
 
+TEST(SnippetDigest, CrlfSplicedDirectiveDigestsLikeLfSplice) {
+  // The lexer splices a directive line at a backslash before LF or CR LF;
+  // both spellings are one program and get one digest.
+  const std::string lf =
+      "#pragma omp parallel for \\\n    private(t)\nfor (i = 0; i < n; i++) t = a[i];";
+  const std::string crlf =
+      "#pragma omp parallel for \\\r\n    private(t)\r\nfor (i = 0; i < n; i++) t = a[i];";
+  EXPECT_EQ(snippet_digest(crlf), snippet_digest(lf));
+  // Unspliced, the clause line is code, not part of the directive.
+  EXPECT_NE(snippet_digest("#pragma omp parallel for \r\n    private(t)\r\n"
+                           "for (i = 0; i < n; i++) t = a[i];"),
+            snippet_digest(lf));
+}
+
 TEST(SnippetDigest, LiteralBytesAreKeptVerbatim) {
   EXPECT_NE(snippet_digest("for (i = 0; i < n; i++) printf(\"%d  \", a[i]);"),
             snippet_digest("for (i = 0; i < n; i++) printf(\"%d \", a[i]);"));

@@ -3,7 +3,9 @@
 // statistics must land near the paper's Table 3.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "codegen/families.h"
 #include "codegen/generator.h"
@@ -165,6 +167,36 @@ TEST(Generator, BuggyKnobOffKeepsCorpusBitIdentical) {
   const auto b = generate_corpus(config);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a.at(i), b.at(i));
+}
+
+TEST(Generator, CorpusBytesMatchRecordedDigest) {
+  // 64-bit FNV-1a over every record's code, directive text and bug tag,
+  // each closed by a zero byte: any byte a template or
+  // OmpDirective::to_string spells differently moves it, and seeded
+  // corpora must stay byte-identical.
+  GeneratorConfig config;
+  config.size = 300;
+  config.seed = 2023;
+  config.simd_families = true;
+  config.buggy_directive_rate = 0.15;
+  const auto corpus = generate_corpus(config);
+  std::uint64_t hash = 1469598103934665603ULL;
+  const auto mix = [&hash](const std::string& field) {
+    for (const char c : field) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 1099511628211ULL;
+    }
+    hash *= 1099511628211ULL;  // the zero byte closing the field
+  };
+  std::size_t bugs = 0;
+  for (const auto& record : corpus.records()) {
+    mix(record.code);
+    mix(record.directive_text);
+    mix(record.bug);
+    bugs += !record.bug.empty();
+  }
+  EXPECT_EQ(bugs, 23u);
+  EXPECT_EQ(hash, 0x17faa1f513879f92ULL);
 }
 
 TEST(Generator, SnippetsAllParse) {

@@ -193,8 +193,8 @@ TEST(DependOracle, NeverClaimsFalseIndependence) {
     ASSERT_NE(loop, nullptr) << code;
     ++nests_checked;
 
-    const NestContext context(*loop);
     const AccessSet accesses = collect_accesses(loop->child(3));
+    const NestContext context(*loop, accesses);
     std::vector<const Access*> refs;
     for (const Access& access : accesses.accesses)
       if (access.is_array && access.variable == "A") refs.push_back(&access);

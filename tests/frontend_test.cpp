@@ -61,6 +61,18 @@ TEST(Lexer, HandlesLineContinuationInPragma) {
   EXPECT_NE(tokens[0].text.find("for"), std::string::npos);
 }
 
+TEST(Lexer, HandlesCrlfLineContinuationInPragma) {
+  // Windows line endings: the splice is a backslash before CR LF.
+  const auto crlf = lex("#pragma omp parallel for \\\r\n    private(t)\r\nfor(;;);\r\n");
+  const auto lf = lex("#pragma omp parallel for \\\n    private(t)\nfor(;;);\n");
+  ASSERT_EQ(crlf.size(), lf.size());
+  EXPECT_EQ(crlf[0].kind, TokenKind::kPragma);
+  EXPECT_EQ(crlf[0].text, lf[0].text);
+  EXPECT_TRUE(crlf[1].is_keyword("for"));
+  EXPECT_EQ(crlf[1].line, 3);
+  EXPECT_EQ(crlf[1].column, 1);
+}
+
 TEST(Lexer, StringAndCharLiterals) {
   const auto tokens = lex(R"(printf("%d\n", 'a');)");
   EXPECT_EQ(tokens[2].kind, TokenKind::kStringLiteral);
@@ -70,10 +82,37 @@ TEST(Lexer, StringAndCharLiterals) {
 }
 
 TEST(Lexer, MaximalMunchOperators) {
-  const auto tokens = lex("a <<= b >> c->d");
-  EXPECT_TRUE(tokens[1].is_punct("<<="));
-  EXPECT_TRUE(tokens[3].is_punct(">>"));
-  EXPECT_TRUE(tokens[5].is_punct("->"));
+  // Every multi-character operator next to its shorter prefixes: each
+  // input lexes to exactly the spellings listed, longest match first.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases = {
+      {"<<=", {"<<="}},      {"<<", {"<<"}},       {"<=", {"<="}},
+      {"<", {"<"}},          {"<<<", {"<<", "<"}}, {">>=", {">>="}},
+      {">>", {">>"}},        {">=", {">="}},       {">", {">"}},
+      {"...", {"..."}},      {"..", {".", "."}},   {".", {"."}},
+      {"->", {"->"}},        {"--", {"--"}},       {"-=", {"-="}},
+      {"-", {"-"}},          {"-->", {"--", ">"}}, {"::", {"::"}},
+      {":", {":"}},          {"&&", {"&&"}},       {"&=", {"&="}},
+      {"&", {"&"}},          {"&&=", {"&&", "="}}, {"||", {"||"}},
+      {"|=", {"|="}},        {"|", {"|"}},         {"^=", {"^="}},
+      {"^", {"^"}},          {"%=", {"%="}},       {"%", {"%"}},
+      {"++", {"++"}},        {"+=", {"+="}},       {"+++", {"++", "+"}},
+      {"==", {"=="}},        {"===", {"==", "="}}, {"!=", {"!="}},
+      {"*=", {"*="}},        {"/=", {"/="}},       {"a<<=b>>c->d", {"<<=", ">>", "->"}},
+  };
+  for (const auto& [input, expected] : cases) {
+    std::vector<std::string> spelled;
+    for (const Token& t : lex(input))
+      if (t.kind == TokenKind::kPunct) spelled.push_back(t.text);
+    EXPECT_EQ(spelled, expected) << input;
+  }
+  // A character no operator starts with is still a lex error, positioned
+  // just past it.
+  try {
+    lex("x = a @ b;");
+    ADD_FAILURE() << "'@' lexed";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "lex error at 1:8: unexpected character '@'");
+  }
 }
 
 TEST(Lexer, RejectsUnterminatedString) {

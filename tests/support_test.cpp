@@ -234,6 +234,36 @@ TEST(Json, EscapesControlCharacters) {
   EXPECT_EQ(Json::parse(dumped).as_string(), "a\tb\"c");
 }
 
+TEST(Json, DumpSpellsNumbers) {
+  // Integral values below 9e15 print as integers, everything else with 17
+  // significant digits (the %.17g spelling).
+  const std::vector<std::pair<double, std::string>> cases = {
+      {0.0, "0"},
+      {42.0, "42"},
+      {-7.0, "-7"},
+      {-0.0, "0"},
+      {2.5, "2.5"},
+      {-2.5, "-2.5"},
+      {0.1, "0.10000000000000001"},
+      {1e20, "1e+20"},
+      {9e15 - 1, "8999999999999999"},
+      {9e15, "9000000000000000"},
+      {-(9e15 - 1), "-8999999999999999"},
+      {-9e15, "-9000000000000000"},
+      {1.0 / 3, "0.33333333333333331"},
+      {1e-7, "9.9999999999999995e-08"},
+  };
+  for (const auto& [value, spelled] : cases) EXPECT_EQ(Json{value}.dump(), spelled);
+  EXPECT_EQ(Json{std::int64_t{-5}}.dump(), "-5");
+  EXPECT_EQ(Json{std::size_t{13139}}.dump(), "13139");
+  Json doc = Json::object();
+  doc["n"] = Json{1.0 / 3};
+  doc["list"] = Json::array();
+  doc["list"].push_back(Json{-0.0});
+  doc["list"].push_back(Json{1e20});
+  EXPECT_EQ(doc.dump(), R"({"list":[0,1e+20],"n":0.33333333333333331})");
+}
+
 TEST(Json, GettersWithFallback) {
   const Json obj = Json::parse(R"({"a": 1})");
   EXPECT_EQ(obj.get_int("a", 9), 1);
