@@ -12,13 +12,14 @@
 //
 // Emits one clpp.shard_scaling.v1 JSON document (--out) with per-point
 // series plus derived `scaling` and `cache_win` blocks; check_scaling.sh
-// gates on it via clpp-slo's `scaling` budget block.
+// gates on it via the `scaling` budget block of `clpp-report slo`.
 //
-// OMP_NUM_THREADS is forced to 1: the bench measures scale-out across
-// shard *processes*, so per-shard inference must not silently fan out over
-// the same cores the other shards need. Scaling is therefore judged
-// against min(shards, ncores) — a 2-core runner is expected to scale to 2
-// shards and flatline beyond, not to 8.
+// The bench runs with OMP_NUM_THREADS=1, re-executing itself once with the
+// variable set when it is not already 1: it measures scale-out across shard
+// *processes*, so per-shard inference must not silently fan out over the
+// same cores the other shards need. Scaling is therefore judged against
+// min(shards, ncores) — a 2-core runner is expected to scale to 2 shards
+// and flatline beyond, not to 8.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -47,6 +48,7 @@
 #include "shard/frame.h"
 #include "shard/listener.h"
 #include "shard/supervisor.h"
+#include "shard/worker.h"
 #include "support/cli.h"
 #include "support/json.h"
 #include "tokenize/representation.h"
@@ -122,23 +124,6 @@ int connect_loopback(std::uint16_t port) {
     return -1;
   }
   return fd;
-}
-
-/// Verdict projection for the cross-run identity check: everything except
-/// per-request bookkeeping and per-serving telemetry (mirrors clpp-serve's
-/// socket loadgen).
-Json normalized_verdict(const Json& body) {
-  static const char* kVolatile[] = {"id",       "client",   "trace_id",
-                                    "queue_us", "batch_us", "infer_us",
-                                    "coalesced", "cached"};
-  Json out = Json::object();
-  for (const auto& [key, value] : body.fields()) {
-    bool volatile_key = false;
-    for (const char* skip : kVolatile)
-      if (key == skip) volatile_key = true;
-    if (!volatile_key) out[key] = value;
-  }
-  return out;
 }
 
 // ------------------------------------------------------------- front end
@@ -315,7 +300,7 @@ PointResult run_point(const core::ParallelAdvisor& advisor, std::size_t shards,
           const double us =
               std::chrono::duration<double, std::micro>(Clock::now() - s0)
                   .count();
-          const std::string verdict = normalized_verdict(body).dump();
+          const std::string verdict = shard::normalized_verdict(body).dump();
           std::lock_guard lock(collect_mu);
           latencies.push_back(us);
           const auto [it, inserted] = verdict_of->emplace(code, verdict);
@@ -403,8 +388,17 @@ Json point_json(const PointResult& point) {
 int main(int argc, char** argv) {
   // Scale-out across shard processes is the measurement; per-shard OpenMP
   // fan-out would let a single shard consume every core and flatten the
-  // curve for reasons that have nothing to do with the serving stack.
-  ::setenv("OMP_NUM_THREADS", "1", 1);
+  // curve for reasons that have nothing to do with the serving stack. The
+  // OpenMP runtime read the variable when it loaded, and
+  // omp_set_num_threads() would reach only this thread, not the shard
+  // workers' server threads: so set it and start over.
+  const char* omp_threads = std::getenv("OMP_NUM_THREADS");
+  if (omp_threads == nullptr || std::strcmp(omp_threads, "1") != 0) {
+    ::setenv("OMP_NUM_THREADS", "1", 1);
+    ::execv("/proc/self/exe", argv);
+    std::perror("shard_scaling_bench: re-exec with OMP_NUM_THREADS=1");
+    return 1;
+  }
 
   ArgParser parser("shard_scaling_bench",
                    "closed-loop scaling + cache-effectiveness bench over the "

@@ -1,23 +1,18 @@
-// clpp-insight: model-quality report CLI (clpp::insight).
-//
-// Two modes, both rendering the calibration / disagreement / drift triple
-// the serving stack tracks online (DESIGN.md "Model-quality observability"):
-//
-//   clpp-insight --stats LG.json [MORE.json ...]
-//       Summarizes the "quality" block of clpp-serve --loadgen --stats-out
-//       artifacts: samples, directive ECE, drift score, disagreement rate
-//       per artifact. This is the post-hoc view of a loadgen run.
+// clpp-insight: model-quality report CLI (clpp::insight), rendering the
+// calibration / disagreement / drift triple the serving stack tracks online
+// (DESIGN.md "Model-quality observability") for an offline evaluation:
 //
 //   clpp-insight --realworld corpus/realworld [--random-model | --model P |
 //                                             --train]
-//       Offline evaluation: runs the advisor over every .c kernel of the
-//       directory, labels each verdict with the dependence engine's exact
-//       proof, and reports per-file verdicts plus the aggregate quality
-//       snapshot. The drift reference is the advisor's checkpointed
-//       training fingerprint when it has one (--train, v2 --model files),
-//       else the fingerprint of the default generated corpus — so the
-//       drift score reads "how far are these kernels from the synthetic
-//       training distribution".
+//
+// runs the advisor over every .c kernel of the directory, labels each
+// verdict with the dependence engine's exact proof, and reports per-file
+// verdicts plus the aggregate quality snapshot. The drift reference is the
+// advisor's checkpointed training fingerprint when it has one (--train,
+// v2 --model files), else the fingerprint of the default generated corpus
+// — so the drift score reads "how far are these kernels from the synthetic
+// training distribution". The post-hoc view of a loadgen run's quality
+// block is `clpp-report quality`.
 //
 // `--json` emits a `clpp.insight_report.v1` document instead of text.
 // Exit: 0 on success, 2 on usage/IO failure.
@@ -168,59 +163,12 @@ int report_realworld(const std::string& dir, core::ParallelAdvisor advisor,
   return 0;
 }
 
-int report_stats(const std::vector<std::string>& paths, bool as_json) {
-  Json rows = Json::array();
-  for (const std::string& path : paths) {
-    const Json artifact = Json::parse(slurp(path));
-    if (!artifact.contains("quality"))
-      throw InvalidArgument(path +
-                            " has no \"quality\" block (sequential loadgen "
-                            "artifacts carry none)");
-    const Json& q = artifact.at("quality");
-    const Json& directive = q.at("tasks").at("directive");
-    const Json& drift = q.at("drift");
-    const Json& disagreement = q.at("disagreement");
-
-    Json row = Json::object();
-    row["file"] = path;
-    row["samples"] = q.at("samples").as_int();
-    row["ece"] = directive.at("ece").as_double();
-    row["mean_confidence"] = directive.at("mean_confidence").as_double();
-    row["drift_armed"] = drift.get_bool("armed", false);
-    row["drift_score"] = drift.at("score").as_double();
-    row["disagreement_rate"] = disagreement.at("rate").as_double();
-    if (artifact.contains("throughput_rps"))
-      row["throughput_rps"] = artifact.at("throughput_rps").as_double();
-    if (!as_json)
-      std::printf(
-          "%s: %lld samples, ECE %.3f, drift %.3f%s, disagreement rate "
-          "%.3f\n",
-          path.c_str(), static_cast<long long>(q.at("samples").as_int()),
-          directive.at("ece").as_double(), drift.at("score").as_double(),
-          drift.get_bool("armed", false) ? "" : " (unarmed)",
-          disagreement.at("rate").as_double());
-    rows.push_back(std::move(row));
-  }
-  if (as_json) {
-    Json doc = Json::object();
-    doc["schema"] = "clpp.insight_report.v1";
-    doc["source"] = "loadgen";
-    doc["mode"] = "stats";
-    doc["artifacts"] = std::move(rows);
-    std::printf("%s\n", doc.dump().c_str());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   ArgParser parser("clpp-insight",
                    "model-quality report: calibration, drift, and "
                    "analyzer-vs-model disagreement");
-  parser.add_flag("stats",
-                  "summarize the quality block of loadgen artifacts "
-                  "(positional args)");
   parser.add_string("realworld", "",
                     "evaluate the advisor over every .c kernel of DIR");
   parser.add_flag("random-model", "use untrained demo weights");
@@ -234,15 +182,9 @@ int main(int argc, char** argv) {
     if (!parser.parse(argc, argv)) return 0;
     const bool as_json = parser.get_flag("json");
 
-    if (parser.get_flag("stats")) {
-      if (parser.positional().empty())
-        throw InvalidArgument("pass loadgen artifacts after --stats");
-      return report_stats(parser.positional(), as_json);
-    }
-
     const std::string dir = parser.get_string("realworld");
     if (dir.empty())
-      throw InvalidArgument("pass --stats <artifacts> or --realworld <dir>");
+      throw InvalidArgument("pass --realworld <dir>");
     const auto size = static_cast<std::size_t>(parser.get_int("size"));
     const auto seed = static_cast<std::uint64_t>(parser.get_int("seed"));
 

@@ -76,6 +76,7 @@
 #include "shard/frame.h"
 #include "shard/listener.h"
 #include "shard/supervisor.h"
+#include "shard/worker.h"
 #include "support/cli.h"
 #include "support/json.h"
 #include "tokenize/representation.h"
@@ -146,45 +147,6 @@ core::ParallelAdvisor random_advisor() {
   return advisor;
 }
 
-std::string trace_id_hex(std::uint64_t trace_id) {
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(trace_id));
-  return hex;
-}
-
-Json advice_to_json(std::int64_t id, const serve::ServedAdvice& served) {
-  const core::Advice& advice = served.advice;
-  Json obj = Json::object();
-  obj["id"] = id;
-  obj["p_directive"] = static_cast<double>(advice.p_directive);
-  obj["needs_directive"] = advice.needs_directive;
-  if (advice.needs_directive) {
-    obj["p_private"] = static_cast<double>(advice.p_private);
-    obj["p_reduction"] = static_cast<double>(advice.p_reduction);
-    obj["p_dynamic"] = static_cast<double>(advice.p_dynamic);
-    obj["needs_private"] = advice.needs_private;
-    obj["needs_reduction"] = advice.needs_reduction;
-    obj["dynamic_schedule"] = advice.wants_dynamic_schedule;
-    obj["suggestion"] = advice.suggestion;
-  }
-  if (!advice.compar_suggestion.empty()) obj["compar"] = advice.compar_suggestion;
-  obj["trace_id"] = trace_id_hex(served.timing.trace_id);
-  obj["queue_us"] = static_cast<std::int64_t>(served.timing.queue_us);
-  obj["batch_us"] = static_cast<std::int64_t>(served.timing.batch_us);
-  obj["infer_us"] = static_cast<std::int64_t>(served.timing.infer_us);
-  obj["coalesced"] = served.timing.coalesced;
-  obj["cached"] = served.timing.cached;
-  return obj;
-}
-
-Json error_line(std::int64_t id, const std::string& what) {
-  Json obj = Json::object();
-  if (id >= 0) obj["id"] = id;
-  obj["error"] = what;
-  return obj;
-}
-
 /// One in-flight request of the JSON-lines loop: the submission id plus the
 /// future the writer thread will resolve. `error` carries the message when
 /// the line failed before reaching the server; `preformatted` carries the
@@ -219,12 +181,12 @@ int run_jsonl(serve::InferenceServer& server) {
       if (!next.preformatted.empty()) {
         line = std::move(next.preformatted);
       } else if (!next.error.empty()) {
-        line = error_line(next.id, next.error).dump();
+        line = shard::error_json(next.id, next.error).dump();
       } else {
         try {
-          line = advice_to_json(next.id, next.future.get()).dump();
+          line = shard::response_json(next.id, next.future.get()).dump();
         } catch (const std::exception& e) {
-          line = error_line(next.id, e.what()).dump();
+          line = shard::error_json(next.id, e.what()).dump();
         }
       }
       std::fputs(line.c_str(), stdout);
@@ -473,24 +435,6 @@ int connect_loopback(std::uint16_t port) {
 /// client talks to the supervisor, which survives shard crashes) is
 /// reconnected and the unanswered request counts as `lost`; check_shard.sh
 /// gates lost == 0 while killing a shard mid-run.
-/// The verdict fields of a response — everything except per-request
-/// bookkeeping (id, client) and per-serving telemetry (trace_id, timings,
-/// coalesced/cached flags). Two servings of the same snippet must agree on
-/// this projection bitwise, cached or not.
-Json normalized_verdict(const Json& body) {
-  static const char* kVolatile[] = {"id",       "client",   "trace_id",
-                                    "queue_us", "batch_us", "infer_us",
-                                    "coalesced", "cached"};
-  Json out = Json::object();
-  for (const auto& [key, value] : body.fields()) {
-    bool volatile_key = false;
-    for (const char* skip : kVolatile)
-      if (key == skip) volatile_key = true;
-    if (!volatile_key) out[key] = value;
-  }
-  return out;
-}
-
 int run_socket_loadgen(std::uint16_t port, std::size_t total,
                        std::size_t concurrency, std::uint32_t deadline_ms,
                        bool drift, const std::string& stats_out) {
@@ -552,7 +496,8 @@ int run_socket_loadgen(std::uint16_t port, std::size_t total,
             // Every serving of one snippet — fresh, coalesced, replayed
             // after a crash, or cached — must carry bitwise-identical
             // verdict fields; any drift is a correctness bug, not noise.
-            const std::string verdict = normalized_verdict(body).dump();
+            const std::string verdict =
+                shard::normalized_verdict(body).dump();
             {
               std::lock_guard lock(verdict_mu);
               const auto [it, inserted] =

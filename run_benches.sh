@@ -8,7 +8,7 @@
 # and the google-benchmark harnesses (bench_micro_kernels, bench_serve)
 # additionally write their reports next to them as BENCH_<name>.json. After
 # the loop the per-bench artifacts are merged into $OUT_DIR/BENCH_summary.json,
-# the single-file capture clpp-profdiff compares runs with.
+# the single-file capture of the run (`clpp-report summarize`).
 #
 # BENCH_GLOB narrows the sweep to space-separated glob patterns (e.g.
 # BENCH_GLOB='bench_micro_kernels bench_serve' for the CI perf job, which
@@ -39,7 +39,7 @@ done
 
 # When the serve bench ran, also capture a loadgen stats artifact
 # (clpp.serve_loadgen.v1: throughput + client/server latency percentiles +
-# queue-wait vs compute split). clpp-profdiff ignores its shape; it is the
+# queue-wait vs compute split). `clpp-report diff` ignores its shape; it is the
 # input scripts/check_slo.sh evaluates against slo/budgets.json.
 if [ -f "$OUT_DIR/BENCH_bench_serve.json" ] && [ -x "$BUILD_DIR/examples/clpp-serve" ]; then
   echo "########## clpp-serve --loadgen ##########"
@@ -48,6 +48,6 @@ if [ -f "$OUT_DIR/BENCH_bench_serve.json" ] && [ -x "$BUILD_DIR/examples/clpp-se
   echo
 fi
 
-if [ -x "$BUILD_DIR/examples/clpp-profdiff" ]; then
-  "$BUILD_DIR/examples/clpp-profdiff" --summarize "$OUT_DIR"
+if [ -x "$BUILD_DIR/examples/clpp-report" ]; then
+  "$BUILD_DIR/examples/clpp-report" summarize "$OUT_DIR"
 fi

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Perf gate: build Release, run the bench suite, and diff the fresh
-# bench_artifacts/ against the committed bench_baseline/ with clpp-profdiff.
+# bench_artifacts/ against the committed bench_baseline/ with
+# `clpp-report diff`.
 #
 #   $ scripts/check_perf.sh            # threshold defaults to 20%
 #   $ THRESHOLD=0.1 scripts/check_perf.sh
@@ -34,11 +35,11 @@ if [ ! -d "$BASELINE_DIR" ]; then
 fi
 
 if [ -n "$WARN_ONLY" ]; then
-  "$BUILD_DIR/examples/clpp-profdiff" --threshold "$THRESHOLD" \
+  "$BUILD_DIR/examples/clpp-report" diff --threshold "$THRESHOLD" \
     "$BASELINE_DIR" bench_artifacts ||
     echo "check_perf: regressions above ${THRESHOLD} (WARN_ONLY set; not failing)" >&2
 else
-  "$BUILD_DIR/examples/clpp-profdiff" --threshold "$THRESHOLD" \
+  "$BUILD_DIR/examples/clpp-report" diff --threshold "$THRESHOLD" \
     "$BASELINE_DIR" bench_artifacts
 fi
 echo "check_perf: elapsed $(($(date +%s) - START_S))s"

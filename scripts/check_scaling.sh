@@ -14,7 +14,7 @@
 #   3. Hard zeros: no lost requests, and bitwise-identical verdicts for
 #      every snippet across cached and uncached serving — the cache may
 #      only ever change latency, never an answer. The bench itself exits
-#      nonzero on either violation; clpp-slo re-checks both.
+#      nonzero on either violation; `clpp-report slo` re-checks both.
 #
 # OMP_NUM_THREADS is pinned to 1 so per-shard OpenMP inference does not
 # compete with the shard processes for cores: shards are the scale-out
@@ -27,7 +27,7 @@
 # Artifacts land in $OUT_DIR (default scaling_artifacts/):
 #   SCALING_bench.stats.json   clpp.shard_scaling.v1 (per-point throughput
 #                              + latency percentiles, scaling + cache_win)
-#   SCALING_verdict.json       clpp-slo --json verdict
+#   SCALING_verdict.json       clpp-report slo --json verdict
 set -e
 cd "$(dirname "$0")/.."
 START_S=$(date +%s)
@@ -44,7 +44,7 @@ WARN_ONLY="${WARN_ONLY:-}"
 export OMP_NUM_THREADS=1
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$BUILD_DIR" -j --target shard_scaling_bench clpp-slo >/dev/null
+cmake --build "$BUILD_DIR" -j --target shard_scaling_bench clpp-report >/dev/null
 
 rm -rf "$OUT_DIR"
 mkdir -p "$OUT_DIR"
@@ -62,12 +62,12 @@ if [ "$BENCH_RC" -ne 0 ]; then
 fi
 
 echo "== budgets ($BUDGET, scaling block) =="
-"$BUILD_DIR/examples/clpp-slo" --budget "$BUDGET" --json \
+"$BUILD_DIR/examples/clpp-report" slo --budget "$BUDGET" --json \
   --stats "$OUT_DIR/SCALING_bench.stats.json" \
   > "$OUT_DIR/SCALING_verdict.json" || true
 
 SLO_RC=0
-"$BUILD_DIR/examples/clpp-slo" --budget "$BUDGET" \
+"$BUILD_DIR/examples/clpp-report" slo --budget "$BUDGET" \
   --stats "$OUT_DIR/SCALING_bench.stats.json" || SLO_RC=$?
 
 if [ "$SLO_RC" -eq 0 ]; then

@@ -1,19 +1,28 @@
 #!/bin/sh
 # Schema-contract gate: generate one artifact per schema-versioned JSON
-# document the tools emit, then validate every one of them with clpp-schema
-# (a structural required-key check over the declared "clpp.<name>.v1"). A
-# producer renaming or dropping a top-level field without bumping its
-# version string fails here before any consumer (clpp-slo, clpp-profdiff,
-# clpp-insight, dashboards) breaks downstream.
+# document the tools emit, then validate every one of them with
+# `clpp-report schema` (a structural required-key check over the declared
+# "clpp.<name>.v1", embedded documents such as a loadgen's "server" block
+# included). A producer renaming or dropping a field without bumping its
+# version string fails here before any reader (clpp-report, dashboards)
+# breaks downstream.
+#
+# The gate also pins clpp-report's output on fixed artifacts: every case of
+# tests/golden/report/cases.txt must print its golden stdout byte for byte
+# with its exit code (and its stderr, where a .err golden exists), and
+# `summarize` over the fixture bench directory must write the golden
+# BENCH_summary.json. A change that means to alter one of these outputs
+# re-records its golden.
 #
 #   $ scripts/check_schemas.sh
 #   $ BUILD_DIR=build scripts/check_schemas.sh
 #
 # Covered: clpp.lint.v1, clpp.explain.v1, clpp.serve_loadgen.v1 (quality
 # block included), clpp.metrics_stream.v1, clpp.flight.v1, clpp.slo_budget.v1,
-# clpp.slo_verdict.v1, clpp.insight_report.v1, clpp.shard_loadgen.v1,
-# clpp.shard_stats.v1 (a sharded --listen front end's final stats document,
-# cache block included), and clpp.shard_scaling.v1 (a tiny scaling-bench run).
+# clpp.slo_verdict.v1, clpp.insight_report.v1 (realworld and loadgen
+# reports), clpp.shard_loadgen.v1, clpp.shard_stats.v1 (a sharded --listen
+# front end's final stats document, cache block included),
+# clpp.shard_scaling.v1 (a tiny scaling-bench run) and clpp.bench_summary.v1.
 set -e
 cd "$(dirname "$0")/.."
 START_S=$(date +%s)
@@ -23,10 +32,11 @@ OUT_DIR="${OUT_DIR:-schema_artifacts}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD_DIR" -j \
-  --target clpp-schema clpp-lint clpp-serve clpp-slo clpp-insight \
+  --target clpp-report clpp-lint clpp-serve clpp-insight \
   shard_scaling_bench >/dev/null
 
 BIN="$BUILD_DIR/examples"
+REPORT="$(cd "$BIN" && pwd)/clpp-report"
 mkdir -p "$OUT_DIR"
 
 echo "== generating artifacts =="
@@ -85,20 +95,59 @@ test -s "$OUT_DIR/shard_stats.json" || {
 # (two points, a handful of requests) exercises the full artifact shape:
 # per-point series, the scaling and cache_win summary blocks, and the
 # verdict-identity verdict.
-OMP_NUM_THREADS=1 "$BUILD_DIR/bench/shard_scaling_bench" \
+"$BUILD_DIR/bench/shard_scaling_bench" \
   --points "1 2" --requests 24 --dup-requests 32 --concurrency 4 \
   --out "$OUT_DIR/shard_scaling.json" >/dev/null
 
 # clpp.slo_verdict.v1 — evaluate the loadgen artifact we just produced.
-"$BIN/clpp-slo" --budget slo/budgets.json --quality-warn-only --json \
+"$REPORT" slo --budget slo/budgets.json --quality-warn-only --json \
   --stats "$OUT_DIR/loadgen.json" > "$OUT_DIR/slo_verdict.json" || true
 
-# clpp.insight_report.v1 — offline model-quality report over the kernels.
+# clpp.insight_report.v1 — offline model-quality report over the kernels,
+# and the loadgen quality summary.
 "$BIN/clpp-insight" --realworld corpus/realworld --random-model --json \
   > "$OUT_DIR/insight_report.json"
+"$REPORT" quality --json "$OUT_DIR/loadgen.json" \
+  > "$OUT_DIR/quality_report.json"
+
+echo "== clpp-report goldens =="
+golden=tests/golden/report
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+pinned_rc=0
+cases=0
+while read -r name want_rc args; do
+  case "$name" in ''|'#'*) continue ;; esac
+  cases=$((cases + 1))
+  rc=0
+  "$REPORT" $args < /dev/null > "$tmp/out" 2> "$tmp/err" || rc=$?
+  if cmp -s "$golden/$name" "$tmp/out" && [ "$rc" = "$want_rc" ] &&
+     { [ ! -f "$golden/$name.err" ] || cmp -s "$golden/$name.err" "$tmp/err"; }; then
+    continue
+  fi
+  echo "check_schemas: clpp-report $args (exit $rc) differs from $golden/$name (exit $want_rc):" >&2
+  diff "$golden/$name" "$tmp/out" | head -40 >&2 || true
+  cat "$tmp/err" >&2
+  pinned_rc=1
+done < "$golden/cases.txt"
+
+# clpp.bench_summary.v1 — summarize a copy of the fixture bench directory
+# (run from $OUT_DIR so the printed path is the golden's).
+rm -rf "$OUT_DIR/bench_base"
+cp -r "$golden/bench_base" "$OUT_DIR/bench_base"
+(cd "$OUT_DIR" && "$REPORT" summarize bench_base) > "$tmp/out"
+if ! cmp -s "$golden/summarize.txt" "$tmp/out" ||
+   ! cmp -s "$golden/summarize.json" "$OUT_DIR/bench_base/BENCH_summary.json"; then
+  echo "check_schemas: clpp-report summarize differs from $golden/summarize.{txt,json}" >&2
+  pinned_rc=1
+fi
+if [ "$pinned_rc" != 0 ]; then
+  exit 1
+fi
+echo "golden outputs: $cases cases and summarize byte-identical to $golden, exit codes included"
 
 echo "== validating =="
-"$BIN/clpp-schema" \
+"$REPORT" schema \
   "$OUT_DIR/lint.json" \
   "$OUT_DIR/explain.json" \
   "$OUT_DIR/loadgen.json" \
@@ -109,6 +158,8 @@ echo "== validating =="
   "$OUT_DIR/flight.json" \
   "$OUT_DIR/slo_verdict.json" \
   "$OUT_DIR/insight_report.json" \
+  "$OUT_DIR/quality_report.json" \
+  "$OUT_DIR/bench_base/BENCH_summary.json" \
   slo/budgets.json
 
 echo "check_schemas: all artifacts conform"

@@ -5,9 +5,9 @@
 # socket load generator against it. Two things must hold:
 #
 #   1. Zero lost requests. The loadgen itself exits 1 when any request went
-#      unanswered, and clpp-slo re-checks `lost` (plus the supervisor's
-#      `unavailable` count) against the hard-zero ceilings in the "shard"
-#      block of slo/budgets.json — a shard crash may cost latency, never an
+#      unanswered, and `clpp-report slo` re-checks `lost` (plus the
+#      supervisor's `unavailable` count) against the hard-zero ceilings in
+#      the "shard" block of slo/budgets.json — a shard crash may cost latency, never an
 #      answer.
 #   2. Client latency/error/throughput stay inside the same budget block.
 #
@@ -27,9 +27,9 @@
 #
 # Artifacts land in $OUT_DIR (default shard_artifacts/):
 #   SHARD_loadgen.stats.json   clpp.shard_loadgen.v1 (client + server stats)
-#   SHARD_verdict.json         clpp-slo --json verdict
+#   SHARD_verdict.json         clpp-report slo --json verdict
 #   SHARD_cached.stats.json    second pass with the result cache on
-#   SHARD_cached_verdict.json  clpp-slo verdict for the cached pass
+#   SHARD_cached_verdict.json  clpp-report slo verdict for the cached pass
 #   flights/                   per-shard flight-recorder dumps from the
 #                              injected crashes (shard<i>.gen1.flight.jsonl)
 set -e
@@ -55,7 +55,7 @@ BUDGET="${BUDGET:-slo/budgets.json}"
 WARN_ONLY="${WARN_ONLY:-}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$BUILD_DIR" -j --target clpp-serve clpp-slo >/dev/null
+cmake --build "$BUILD_DIR" -j --target clpp-serve clpp-report >/dev/null
 
 rm -rf "$OUT_DIR"
 mkdir -p "$OUT_DIR/flights"
@@ -119,11 +119,11 @@ run_pass() {
   echo "check_shard: $PASS_LABEL: $deaths shard deaths, $dumps flight dumps harvested"
 
   echo "== budgets ($PASS_LABEL: $BUDGET, shard block) =="
-  "$BUILD_DIR/examples/clpp-slo" --budget "$BUDGET" --json \
+  "$BUILD_DIR/examples/clpp-report" slo --budget "$BUDGET" --json \
     --stats "$OUT_DIR/$PASS_STATS" \
     > "$OUT_DIR/$PASS_VERDICT" || true
 
-  if "$BUILD_DIR/examples/clpp-slo" --budget "$BUDGET" \
+  if "$BUILD_DIR/examples/clpp-report" slo --budget "$BUDGET" \
     --stats "$OUT_DIR/$PASS_STATS"; then
     echo "check_shard: $PASS_LABEL: crash recovery lost nothing and met every budget"
   else

@@ -2,9 +2,10 @@
 # SLO gate for the serve path: run the closed-loop load generator twice —
 # once uninstrumented and once fully instrumented (CLPP_OBS=1 with a Chrome
 # trace export) — and evaluate the resulting clpp.serve_loadgen.v1 artifacts
-# against the declarative budgets in slo/budgets.json with clpp-slo. The
-# second run also proves the observability overhead budget: tracing on must
-# keep throughput within `obs_overhead.max_fraction` (5%) of tracing off.
+# against the declarative budgets in slo/budgets.json with `clpp-report slo`.
+# The second run also proves the observability overhead budget: tracing on
+# must keep throughput within `obs_overhead.max_fraction` (5%) of tracing
+# off.
 #
 #   $ scripts/check_slo.sh
 #   $ WARN_ONLY=1 scripts/check_slo.sh     # report violations but exit 0
@@ -23,7 +24,7 @@
 #   SLO_serve_obs.trace.json   Chrome trace of the instrumented run (the
 #                              flow-linked request lanes, chrome://tracing)
 #   SLO_drift.stats.json       drift-canary loadgen report
-#   SLO_verdict.json           clpp-slo --json verdict document
+#   SLO_verdict.json           clpp-report slo --json verdict document
 set -e
 cd "$(dirname "$0")/.."
 START_S=$(date +%s)
@@ -44,7 +45,7 @@ fi
 # SLO numbers must come from an optimized build; shares build-perf with
 # check_perf.sh so a combined CI run configures it once.
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$BUILD_DIR" -j --target clpp-serve clpp-slo >/dev/null
+cmake --build "$BUILD_DIR" -j --target clpp-serve clpp-report >/dev/null
 
 mkdir -p "$OUT_DIR"
 
@@ -62,12 +63,12 @@ CLPP_OBS=1 CLPP_TRACE_OUT="$OUT_DIR/SLO_serve_obs.trace.json" \
   --stats-out "$OUT_DIR/SLO_serve_obs.stats.json"
 
 echo "== budgets ($BUDGET) =="
-"$BUILD_DIR/examples/clpp-slo" --budget "$BUDGET" --json $QUALITY_FLAG \
+"$BUILD_DIR/examples/clpp-report" slo --budget "$BUDGET" --json $QUALITY_FLAG \
   --stats "$OUT_DIR/SLO_serve.stats.json" \
   --obs-stats "$OUT_DIR/SLO_serve_obs.stats.json" \
   > "$OUT_DIR/SLO_verdict.json" || true
 
-if "$BUILD_DIR/examples/clpp-slo" --budget "$BUDGET" $QUALITY_FLAG \
+if "$BUILD_DIR/examples/clpp-report" slo --budget "$BUDGET" $QUALITY_FLAG \
   --stats "$OUT_DIR/SLO_serve.stats.json" \
   --obs-stats "$OUT_DIR/SLO_serve_obs.stats.json"; then
   echo "check_slo: all budgets met"
@@ -88,7 +89,7 @@ CLPP_OBS=0 "$BUILD_DIR/examples/clpp-serve" --random-model \
   --no-analysis --no-compar --drift \
   --loadgen "$REQUESTS" --concurrency "$CONCURRENCY" \
   --stats-out "$OUT_DIR/SLO_drift.stats.json"
-if "$BUILD_DIR/examples/clpp-slo" --budget "$BUDGET" \
+if "$BUILD_DIR/examples/clpp-report" slo --budget "$BUDGET" \
   --stats "$OUT_DIR/SLO_drift.stats.json"; then
   echo "check_slo: drift canary did NOT trip the drift budget" >&2
   exit 1

@@ -14,9 +14,10 @@
 //     fingerprint checkpointed with the advisor (DriftMonitor).
 //
 // Everything is exported twice: as a `clpp.insight.v1` JSON snapshot (the
-// serve `{"cmd":"quality"}` admin verb, loadgen artifacts, clpp-insight)
-// and as clpp.insight.* registry metrics so streams/bench artifacts and
-// clpp-profdiff pick the series up with zero extra plumbing.
+// serve `{"cmd":"quality"}` admin verb, loadgen artifacts, clpp-insight,
+// `clpp-report quality`) and as clpp.insight.* registry metrics so
+// streams/bench artifacts and `clpp-report diff` pick the series up with
+// zero extra plumbing.
 #pragma once
 
 #include <cstdint>

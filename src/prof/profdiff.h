@@ -8,7 +8,7 @@
 // This module turns two such directories into a comparable set of named
 // numeric series, diffs them, and decides whether any *tracked* series
 // (time-like: benchmark real/cpu time, latency-histogram means) regressed
-// beyond a threshold — the gate `clpp-profdiff` exposes as its exit code.
+// beyond a threshold — the gate `clpp-report diff` exposes as its exit code.
 // It also merges one directory into the single-file BENCH_summary.json
 // that captures a run for trajectory tracking.
 #pragma once

@@ -77,6 +77,20 @@ Json error_json(std::int64_t id, const std::string& what) {
   return obj;
 }
 
+Json normalized_verdict(const Json& response) {
+  static const char* kVolatile[] = {"id",       "client",   "trace_id",
+                                    "queue_us", "batch_us", "infer_us",
+                                    "coalesced", "cached"};
+  Json out = Json::object();
+  for (const auto& [key, value] : response.fields()) {
+    bool volatile_key = false;
+    for (const char* skip : kVolatile)
+      if (key == skip) volatile_key = true;
+    if (!volatile_key) out[key] = value;
+  }
+  return out;
+}
+
 int run_shard_worker(int fd, const core::ParallelAdvisor& advisor,
                      const WorkerOptions& options) {
   if (!options.flight_out.empty()) obs::set_flight_out(options.flight_out);

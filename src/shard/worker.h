@@ -51,6 +51,13 @@ Json response_json(std::int64_t id, const serve::ServedAdvice& served);
 /// `{"id":id,"error":what}` (id omitted when negative).
 Json error_json(std::int64_t id, const std::string& what);
 
+/// The verdict fields of a response_json object: everything except
+/// per-request bookkeeping (id, client) and per-serving telemetry (trace
+/// id, timings, coalesced/cached flags). Two servings of one snippet must
+/// agree on this projection bitwise — fresh, coalesced, replayed after a
+/// crash, or cached.
+Json normalized_verdict(const Json& response);
+
 /// Runs the worker loop until EOF (returns 0) or a fatal protocol/IO error
 /// (returns kWorkerErrorExit). Injected shard.batch faults exit the
 /// process directly with kWorkerFaultExit.

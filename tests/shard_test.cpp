@@ -277,6 +277,35 @@ TEST(FrameCodec, SurvivesRandomByteFlips) {
   }
 }
 
+// ----------------------------------------------------------- response codec
+
+TEST(ResponseJson, NormalizedVerdictDropsBookkeepingAndTelemetryOnly) {
+  serve::ServedAdvice fresh;
+  fresh.advice.p_directive = 0.75f;
+  fresh.advice.needs_directive = true;
+  fresh.advice.suggestion = "#pragma omp parallel for";
+  fresh.timing.trace_id = 0x2a;
+  fresh.timing.queue_us = 12;
+  serve::ServedAdvice cached = fresh;
+  cached.timing.trace_id = 0x2b;
+  cached.timing.queue_us = 0;
+  cached.timing.cached = true;
+
+  Json fresh_json = response_json(7, fresh);
+  fresh_json["client"] = "loadgen-0";
+  EXPECT_EQ(fresh_json.at("trace_id").as_string(), "000000000000002a");
+  const Json verdict = normalized_verdict(fresh_json);
+  EXPECT_EQ(verdict.dump(), normalized_verdict(response_json(8, cached)).dump());
+  for (const char* key : {"id", "client", "trace_id", "queue_us", "batch_us",
+                          "infer_us", "coalesced", "cached"})
+    EXPECT_FALSE(verdict.contains(key)) << key;
+  EXPECT_EQ(verdict.at("suggestion").as_string(), "#pragma omp parallel for");
+  EXPECT_TRUE(verdict.at("needs_directive").as_bool());
+
+  cached.advice.needs_directive = false;
+  EXPECT_NE(verdict.dump(), normalized_verdict(response_json(8, cached)).dump());
+}
+
 // --------------------------------------------------------------- admission
 
 TEST(TokenBucketTest, BurstThenRefill) {
