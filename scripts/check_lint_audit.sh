@@ -11,7 +11,10 @@
 # byte difference fails. Last, clpp-lint's output on fixed inputs is pinned
 # byte for byte, exit code included, to the golden files in
 # tests/golden/lint/: text and --json on a fixture with a loop per lint rule,
-# --explain --json on corpus/realworld, and --audit --json --size 400. A
+# --explain --json on corpus/realworld, --audit --json --size 400, and text
+# and --json on three inputs nested 100,000 levels deep (parentheses,
+# blocks, a `+` chain in an annotated loop), generated at run time: hostile
+# nesting must get a parse-error finding and exit 1, never a crash. A
 # change that means to alter one of these outputs re-records its golden.
 #
 #   $ scripts/check_lint_audit.sh
@@ -55,15 +58,18 @@ if ! cmp -s "$tmp/team" "$tmp/serial" || [ "$team_rc" != "$serial_rc" ]; then
 fi
 echo "--json corpus/realworld/*.c: identical at OMP_NUM_THREADS=1 and the default team (rc=$team_rc)"
 
-# Golden outputs: pin <golden file> <exit code> <clpp-lint arguments...>.
-# stdout must equal the golden byte for byte, stderr must stay empty.
+# Golden outputs: pin <golden file> <exit code> <clpp-lint arguments...>,
+# run in $pin_dir. stdout must equal the golden byte for byte, stderr must
+# stay empty.
 golden=tests/golden/lint
+lint=$(cd "$BUILD_DIR/examples" && pwd)/clpp-lint
+pin_dir=.
 pinned_rc=0
 pin() {
   name=$1 want_rc=$2
   shift 2
   rc=0
-  "$BUILD_DIR/examples/clpp-lint" "$@" > "$tmp/pin.out" 2> "$tmp/pin.err" || rc=$?
+  (cd "$pin_dir" && "$lint" "$@") > "$tmp/pin.out" 2> "$tmp/pin.err" || rc=$?
   if cmp -s "$golden/$name" "$tmp/pin.out" && [ "$rc" = "$want_rc" ] && [ ! -s "$tmp/pin.err" ]; then
     return 0
   fi
@@ -76,10 +82,26 @@ pin rules.txt 1 "$golden/rules.c" "$golden/parse_error.c"
 pin rules.json 1 --json "$golden/rules.c" "$golden/parse_error.c"
 pin explain-realworld.json 0 --explain --json corpus/realworld/*.c
 pin audit-400.json 1 --audit --json --size 400
+mkdir "$tmp/deep"
+python3 - "$tmp/deep" <<'EOF'
+import sys
+directory, n = sys.argv[1], 100000
+with open(f"{directory}/parens.c", "w") as f:
+    f.write("x = " + "(" * n + "y" + ")" * n + ";\n")
+with open(f"{directory}/blocks.c", "w") as f:
+    f.write("{" * n + "}" * n + "\n")
+with open(f"{directory}/chain.c", "w") as f:
+    f.write("#pragma omp parallel for\nfor (i = 0; i < n; i++)\n  a[i] = "
+            + " + ".join(["b[i]"] * n) + ";\n")
+EOF
+pin_dir=$tmp/deep
+pin deep-nesting.txt 1 parens.c blocks.c chain.c
+pin deep-nesting.json 1 --json parens.c blocks.c chain.c
+pin_dir=.
 if [ "$pinned_rc" != 0 ]; then
   exit 1
 fi
-echo "golden outputs: 4/4 byte-identical to $golden, exit codes included"
+echo "golden outputs: 6/6 byte-identical to $golden, exit codes included"
 
 echo "$report" | python3 -c '
 import json, sys

@@ -2,31 +2,6 @@
 
 namespace clpp::frontend {
 
-NodePtr Node::clone() const {
-  auto copy = std::make_unique<Node>(kind, text, aux);
-  copy->line = line;
-  copy->column = column;
-  copy->children.reserve(children.size());
-  for (const NodePtr& c : children) copy->children.push_back(c->clone());
-  return copy;
-}
-
-NodePtr make_node(NodeKind kind, std::string text, std::string aux) {
-  return std::make_unique<Node>(kind, std::move(text), std::move(aux));
-}
-
-NodePtr make_id(std::string name) {
-  return std::make_unique<Node>(NodeKind::kID, std::move(name));
-}
-
-NodePtr make_int(long long value) {
-  return std::make_unique<Node>(NodeKind::kConstant, std::to_string(value), "int");
-}
-
-NodePtr make_float(std::string value) {
-  return std::make_unique<Node>(NodeKind::kConstant, std::move(value), "float");
-}
-
 std::string node_kind_name(NodeKind kind) {
   switch (kind) {
     case NodeKind::kTranslationUnit: return "FileAST";
@@ -67,19 +42,19 @@ std::string node_label(const Node& node) {
     case NodeKind::kBinaryOp:
     case NodeKind::kUnaryOp:
     case NodeKind::kStructRef:
-      return node_kind_name(node.kind) + ": " + node.text;
+      return node_kind_name(node.kind) + ": " + std::string(node.text);
     case NodeKind::kID:
-      return "ID: " + node.text;
+      return "ID: " + std::string(node.text);
     case NodeKind::kConstant:
-      return "Constant: " + node.aux + ", " + node.text;
+      return "Constant: " + std::string(node.aux) + ", " + std::string(node.text);
     case NodeKind::kDecl:
-      return "Decl: " + node.text + ", " + node.aux;
+      return "Decl: " + std::string(node.text) + ", " + std::string(node.aux);
     case NodeKind::kFuncDef:
-      return "FuncDef: " + node.text;
+      return "FuncDef: " + std::string(node.text);
     case NodeKind::kCast:
-      return "Cast: " + node.text;
+      return "Cast: " + std::string(node.text);
     case NodeKind::kPragma:
-      return "Pragma: " + node.text;
+      return "Pragma: " + std::string(node.text);
     default:
       return node_kind_name(node.kind) + ":";
   }

@@ -26,12 +26,22 @@
 //   Pragma     text=directive text (without '#')
 //   ID         text=name
 //   Constant   text=value aux=type ("int"/"float"/"char"/"string")
+//
+// Memory: a tree is immutable once parsed. Its nodes, child arrays and
+// text live in one Arena that the NodePtr handle owns (arena.h), so node
+// text and children are views into that arena and die with the handle.
+// `height` counts the levels of each subtree; the parser keeps every tree
+// within kMaxNesting (parser.h), so recursive walks stay shallow.
 #pragma once
 
-#include <memory>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
+#include <utility>
 
+#include "frontend/arena.h"
+#include "frontend/token.h"
 #include "support/error.h"
 
 namespace clpp::frontend {
@@ -67,35 +77,23 @@ enum class NodeKind {
   kPragma,
 };
 
-struct Node;
-using NodePtr = std::unique_ptr<Node>;
-
 /// Generic AST node; see file comment for child conventions.
 struct Node {
   NodeKind kind;
-  std::string text;  // name / operator / value / directive, by kind
-  std::string aux;   // type information, by kind
-  std::vector<NodePtr> children;
   int line = 0;    // 1-based source line; 0 = synthesized node
   int column = 0;  // 1-based source column; 0 = synthesized node
+  std::uint32_t height = 1;  // levels in the subtree rooted here
+  Text text;  // name / operator / value / directive, by kind
+  Text aux;   // type information, by kind
+  std::span<const Node* const> children;
 
-  explicit Node(NodeKind k) : kind(k) {}
-  Node(NodeKind k, std::string t) : kind(k), text(std::move(t)) {}
-  Node(NodeKind k, std::string t, std::string a)
-      : kind(k), text(std::move(t)), aux(std::move(a)) {}
-
+  Node(NodeKind k, int l, int c, Text t, Text a)
+      : kind(k), line(l), column(c), text(t), aux(a) {}
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  /// Deep copy.
-  NodePtr clone() const;
-
   /// Checked child access.
   const Node& child(std::size_t i) const {
-    CLPP_CHECK_MSG(i < children.size(), "AST child index out of range");
-    return *children[i];
-  }
-  Node& child(std::size_t i) {
     CLPP_CHECK_MSG(i < children.size(), "AST child index out of range");
     return *children[i];
   }
@@ -103,11 +101,31 @@ struct Node {
   bool is(NodeKind k) const { return kind == k; }
 };
 
-/// Builders.
-NodePtr make_node(NodeKind kind, std::string text = {}, std::string aux = {});
-NodePtr make_id(std::string name);
-NodePtr make_int(long long value);
-NodePtr make_float(std::string value);
+/// Owning handle of a parsed tree: its root and the arena that holds every
+/// node of it. Movable, not copyable; empty when default-constructed.
+class NodePtr {
+ public:
+  NodePtr() = default;
+  NodePtr(std::nullptr_t) {}
+  NodePtr(Arena arena, const Node* root) : arena_(std::move(arena)), root_(root) {}
+  NodePtr(NodePtr&& other) noexcept
+      : arena_(std::move(other.arena_)), root_(std::exchange(other.root_, nullptr)) {}
+  NodePtr& operator=(NodePtr&& other) noexcept {
+    arena_ = std::move(other.arena_);
+    root_ = std::exchange(other.root_, nullptr);
+    return *this;
+  }
+
+  const Node& operator*() const { return *root_; }
+  const Node* operator->() const { return root_; }
+  const Node* get() const { return root_; }
+  explicit operator bool() const { return root_ != nullptr; }
+  friend bool operator==(const NodePtr& p, std::nullptr_t) { return p.root_ == nullptr; }
+
+ private:
+  Arena arena_;
+  const Node* root_ = nullptr;
+};
 
 /// pycparser-style node label, e.g. "For:", "Assignment: =",
 /// "Constant: int, 0" — the exact line format of Table 2 of the paper.
@@ -117,14 +135,7 @@ std::string node_label(const Node& node);
 template <typename Fn>
 void walk(const Node& node, Fn&& fn, int depth = 0) {
   fn(node, depth);
-  for (const NodePtr& c : node.children) walk(*c, fn, depth + 1);
-}
-
-/// Mutable pre-order visit.
-template <typename Fn>
-void walk_mut(Node& node, Fn&& fn, int depth = 0) {
-  fn(node, depth);
-  for (NodePtr& c : node.children) walk_mut(*c, fn, depth + 1);
+  for (const Node* c : node.children) walk(*c, fn, depth + 1);
 }
 
 /// Counts nodes of a given kind in the subtree.

@@ -5,8 +5,12 @@
 // lines are preserved as kPragma tokens (they carry OpenMP directives);
 // all other preprocessor lines (#include, #define, ...) are skipped, which
 // matches how pycparser-based pipelines preprocess snippets.
+//
+// Tokens view the text they were lexed from: no token owns a string.
 #pragma once
 
+#include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -14,10 +18,29 @@
 
 namespace clpp::frontend {
 
-/// Tokenizes `source`; throws ParseError with line/column on bad input.
-std::vector<Token> lex(std::string_view source);
+/// The tokens of one source, ending in a kEnd token. They view a copy of
+/// the source that the list owns, so they outlive the text they came from.
+class TokenList {
+ public:
+  std::size_t size() const { return tokens_.size(); }
+  bool empty() const { return tokens_.empty(); }
+  const Token& operator[](std::size_t i) const { return tokens_[i]; }
+  const Token& back() const { return tokens_.back(); }
+  std::vector<Token>::const_iterator begin() const { return tokens_.begin(); }
+  std::vector<Token>::const_iterator end() const { return tokens_.end(); }
 
-/// True if `word` is a keyword of the subset.
-bool is_c_keyword(std::string_view word);
+ private:
+  friend TokenList lex(std::string_view source);
+  std::unique_ptr<char[]> source_;
+  std::vector<Token> tokens_;
+};
+
+/// Tokenizes `source`; throws ParseError with line/column on bad input.
+TokenList lex(std::string_view source);
+
+/// Tokenizes `source` into `out`, replacing its contents. The tokens view
+/// `source`, which must be the caller's own copy: a pragma line's
+/// backslash-newline splices are rewritten in place.
+void lex_into(std::span<char> source, std::vector<Token>& out);
 
 }  // namespace clpp::frontend

@@ -1,7 +1,9 @@
 #include "frontend/parser.h"
 
-#include <array>
-#include <set>
+#include <algorithm>
+#include <initializer_list>
+#include <string>
+#include <vector>
 
 #include "frontend/lexer.h"
 #include "support/error.h"
@@ -10,684 +12,692 @@ namespace clpp::frontend {
 
 namespace {
 
-/// Names treated as type names in addition to keywords (common typedefs in
-/// HPC snippets).
-const std::set<std::string, std::less<>>& known_typedefs() {
-  static const std::set<std::string, std::less<>> kTypes = {
-      "size_t", "ssize_t", "FILE",     "uint8_t",  "uint16_t", "uint32_t",
-      "uint64_t", "int8_t", "int16_t", "int32_t",  "int64_t",  "bool",
-      "ptrdiff_t"};
-  return kTypes;
+/// What a parse reuses from the last one on its thread: the token array,
+/// the stack child lists gather on before they move into the arena, and
+/// the buffer type names are spelled in. Capacity carries over, so a warm
+/// thread parses without touching the heap for them.
+struct Scratch {
+  std::vector<Token> tokens;
+  std::vector<const Node*> pending;
+  std::string type;
+};
+
+thread_local Scratch t_scratch;
+
+// A scratch token array past this many entries is released after the parse
+// rather than kept for the next one.
+constexpr std::size_t kKeptTokens = std::size_t{1} << 16;
+
+/// Arena bytes a parse of `source_bytes` is expected to need: the source
+/// copy, plus nodes and child arrays at the rate loop snippets show.
+std::size_t arena_estimate(std::size_t source_bytes) { return 32 * source_bytes + 256; }
+
+bool starts_type(TokenId id) {
+  switch (id) {
+    case TokenId::kVoid:
+    case TokenId::kChar:
+    case TokenId::kShort:
+    case TokenId::kInt:
+    case TokenId::kLong:
+    case TokenId::kFloat:
+    case TokenId::kDouble:
+    case TokenId::kSigned:
+    case TokenId::kUnsigned:
+    case TokenId::kConst:
+    case TokenId::kStatic:
+    case TokenId::kStruct:
+    case TokenId::kUnion:
+    case TokenId::kEnum:
+    case TokenId::kRegister:
+    case TokenId::kVolatile:
+    case TokenId::kExtern:
+    case TokenId::kInline:
+    case TokenId::kSizeT:
+    case TokenId::kTypedefName:
+      return true;
+    default:
+      return false;
+  }
+}
+
+bool is_assignment(TokenId id) {
+  switch (id) {
+    case TokenId::kAssign:
+    case TokenId::kPlusAssign:
+    case TokenId::kMinusAssign:
+    case TokenId::kStarAssign:
+    case TokenId::kSlashAssign:
+    case TokenId::kPercentAssign:
+    case TokenId::kAmpAssign:
+    case TokenId::kPipeAssign:
+    case TokenId::kCaretAssign:
+    case TokenId::kShiftLeftAssign:
+    case TokenId::kShiftRightAssign:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Precedence level of a binary operator in C's table (|| lowest), or -1.
+int binary_level(TokenId id) {
+  switch (id) {
+    case TokenId::kPipePipe: return 0;
+    case TokenId::kAmpAmp: return 1;
+    case TokenId::kPipe: return 2;
+    case TokenId::kCaret: return 3;
+    case TokenId::kAmp: return 4;
+    case TokenId::kEqual:
+    case TokenId::kNotEqual: return 5;
+    case TokenId::kLess:
+    case TokenId::kGreater:
+    case TokenId::kLessEqual:
+    case TokenId::kGreaterEqual: return 6;
+    case TokenId::kShiftLeft:
+    case TokenId::kShiftRight: return 7;
+    case TokenId::kPlus:
+    case TokenId::kMinus: return 8;
+    case TokenId::kStar:
+    case TokenId::kSlash:
+    case TokenId::kPercent: return 9;
+    default: return -1;
+  }
 }
 
 class Parser {
  public:
-  explicit Parser(std::string_view source) : tokens_(lex(source)) {}
-
-  NodePtr program() {
-    auto unit = make_node(NodeKind::kTranslationUnit);
-    while (!peek().is(TokenKind::kEnd)) unit->children.push_back(external_item());
-    return unit;
+  Parser(Scratch& scratch, Arena& arena)
+      : tokens_(scratch.tokens.data()),
+        last_(scratch.tokens.size() - 1),
+        pending_(scratch.pending),
+        type_(scratch.type),
+        arena_(arena) {
+    // Every pending child holds at least one token, so this is room enough
+    // for any list the parse gathers.
+    pending_.clear();
+    pending_.reserve(scratch.tokens.size());
   }
 
-  NodePtr snippet() { return program(); }
+  const Node* program() {
+    Node* unit = make(NodeKind::kTranslationUnit, 0, 0);
+    const std::size_t mark = pending_.size();
+    while (!peek().is(TokenKind::kEnd)) pending_.push_back(item());
+    return adopt(unit, mark);
+  }
 
-  NodePtr single_expression() {
-    NodePtr e = expression();
-    expect_end();
+  const Node* single_expression() {
+    const Node* e = expression();
+    if (!peek().is(TokenKind::kEnd)) fail("trailing tokens after expression");
     return e;
   }
 
  private:
+  /// Counts one level of nesting for as long as it lives.
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxNesting) parser_.fail_too_deep();
+    }
+    ~Nest() { --parser_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   // --- token plumbing -----------------------------------------------------
 
   const Token& peek(std::size_t ahead = 0) const {
-    const std::size_t i = std::min(pos_ + ahead, tokens_.size() - 1);
-    return tokens_[i];
+    return tokens_[std::min(pos_ + ahead, last_)];
   }
 
-  const Token& advance() { return tokens_[std::min(pos_++, tokens_.size() - 1)]; }
+  const Token& advance() { return tokens_[std::min(pos_++, last_)]; }
 
-  bool accept_punct(std::string_view spelling) {
-    if (peek().is_punct(spelling)) {
-      advance();
-      return true;
-    }
-    return false;
+  bool accept(TokenId id) {
+    if (peek().id != id) return false;
+    advance();
+    return true;
   }
 
-  bool accept_keyword(std::string_view word) {
-    if (peek().is_keyword(word)) {
-      advance();
-      return true;
-    }
-    return false;
-  }
-
-  const Token& expect_punct(std::string_view spelling) {
-    if (!peek().is_punct(spelling)) fail("expected '" + std::string(spelling) + "'");
+  const Token& expect(TokenId id) {
+    if (peek().id != id) fail("expected '" + std::string(spelling(id)) + "'");
     return advance();
-  }
-
-  void expect_end() {
-    if (!peek().is(TokenKind::kEnd)) fail("trailing tokens after expression");
   }
 
   [[noreturn]] void fail(const std::string& why) const {
     const Token& t = peek();
     throw ParseError("parse error at " + std::to_string(t.line) + ":" +
                      std::to_string(t.column) + ": " + why + " (found " +
-                     token_kind_name(t.kind) + " '" + t.text + "')");
+                     token_kind_name(t.kind) + " '" + std::string(t.text) + "')");
+  }
+
+  [[noreturn]] void fail_too_deep() const {
+    fail("nesting deeper than " + std::to_string(kMaxNesting) + " levels");
+  }
+
+  bool starts_type(std::size_t ahead = 0) const {
+    return frontend::starts_type(peek(ahead).id);
+  }
+
+  // --- tree building --------------------------------------------------------
+
+  Node* make(NodeKind kind, int line, int column, Text text = {}, Text aux = {}) {
+    return new (arena_.allocate(sizeof(Node), alignof(Node)))
+        Node(kind, line, column, text, aux);
+  }
+
+  Node* make(NodeKind kind, const Token& at, Text text = {}, Text aux = {}) {
+    return make(kind, at.line, at.column, text, aux);
+  }
+
+  /// Gives `node` the children `kids`, in order.
+  const Node* adopt(Node* node, std::initializer_list<const Node*> kids) {
+    return adopt(node, kids.begin(), kids.size());
+  }
+
+  /// Gives `node` the children pending above `mark`, in order, and pops them.
+  const Node* adopt(Node* node, std::size_t mark) {
+    adopt(node, pending_.data() + mark, pending_.size() - mark);
+    pending_.resize(mark);
+    return node;
+  }
+
+  const Node* adopt(Node* node, const Node* const* kids, std::size_t n) {
+    if (n == 0) return node;
+    const Node** children = arena_.allocate_array<const Node*>(n);
+    std::uint32_t height = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      children[i] = kids[i];
+      height = std::max(height, kids[i]->height);
+    }
+    if (height >= static_cast<std::uint32_t>(kMaxNesting)) fail_too_deep();
+    node->children = {children, n};
+    node->height = height + 1;
+    return node;
+  }
+
+  /// `base` followed by `times` copies of `suffix`, in the arena.
+  Text extend(Text base, std::string_view suffix, std::size_t times) {
+    if (times == 0) return base;
+    const std::size_t size = base.size() + suffix.size() * times;
+    char* text = arena_.allocate_array<char>(size);
+    std::copy(base.begin(), base.end(), text);
+    for (std::size_t i = 0; i < times; ++i)
+      std::copy(suffix.begin(), suffix.end(), text + base.size() + i * suffix.size());
+    return {text, size};
   }
 
   // --- type recognition ----------------------------------------------------
 
-  bool starts_type(std::size_t ahead = 0) const {
-    const Token& t = peek(ahead);
-    if (t.kind == TokenKind::kKeyword) {
-      static constexpr std::array kTypeWords = {
-          "void", "char", "short", "int",      "long",   "float",  "double",
-          "signed", "unsigned", "const", "static", "struct", "union", "enum",
-          "register", "volatile", "extern", "inline", "size_t"};
-      for (std::string_view w : kTypeWords)
-        if (t.text == w) return true;
-      return false;
-    }
-    return t.kind == TokenKind::kIdentifier && known_typedefs().count(t.text) > 0;
-  }
-
   /// Consumes type specifiers and pointer stars; returns the type spelling.
-  std::string parse_type() {
-    std::string type;
-    bool any = false;
+  Text parse_type() {
+    type_.clear();
+    const Token* only = nullptr;  // the one token, when the type is one word
     while (starts_type()) {
       const Token& t = advance();
-      if (t.text == "struct" || t.text == "union" || t.text == "enum") {
-        if (!type.empty()) type += ' ';
-        type += t.text;
-        if (peek().is(TokenKind::kIdentifier)) {
-          type += ' ';
-          type += advance().text;
-        }
-        any = true;
-        continue;
+      only = type_.empty() ? &t : nullptr;
+      if (!type_.empty()) type_ += ' ';
+      type_ += t.text;
+      if ((t.is(TokenId::kStruct) || t.is(TokenId::kUnion) || t.is(TokenId::kEnum)) &&
+          peek().is(TokenKind::kIdentifier)) {
+        type_ += ' ';
+        type_ += advance().text;
+        only = nullptr;
       }
-      if (!type.empty()) type += ' ';
-      type += t.text;
-      any = true;
     }
-    if (!any) fail("expected a type");
-    while (peek().is_punct("*")) {
-      advance();
-      type += '*';
-    }
-    return type;
+    if (type_.empty()) fail("expected a type");
+    if (only != nullptr && !peek().is(TokenId::kStar)) return only->text;
+    while (accept(TokenId::kStar)) type_ += '*';
+    return arena_.store(type_);
   }
 
-  // --- external items -------------------------------------------------------
+  /// `base` with the pointer stars that follow.
+  Text pointer_type(Text base) {
+    std::size_t stars = 0;
+    while (accept(TokenId::kStar)) ++stars;
+    return extend(base, "*", stars);
+  }
 
-  NodePtr external_item() {
-    const Token& t = peek();
-    if (t.is(TokenKind::kPragma)) {
-      auto pragma = make_node(NodeKind::kPragma, advance().text);
-      pragma->line = t.line;
-      pragma->column = t.column;
-      return pragma;
-    }
+  // --- external and block items ----------------------------------------------
+
+  const Node* item() {
+    if (peek().is(TokenKind::kPragma)) return pragma();
     if (starts_type()) return declaration_or_function();
     return statement();  // snippet mode: bare statements allowed at top level
   }
 
+  const Node* pragma() {
+    const Token& t = advance();
+    return make(NodeKind::kPragma, t, t.text);
+  }
+
   /// Parses after a type has been recognized: either a function definition
   /// / prototype or a (possibly multi-declarator) declaration.
-  NodePtr declaration_or_function() {
+  const Node* declaration_or_function() {
     const int line = peek().line;
     const int column = peek().column;
-    std::string base_type = parse_type();
+    const Text base_type = parse_type();
 
     // `struct X { ... };` definition without declarator.
-    if ((base_type.rfind("struct", 0) == 0 || base_type.rfind("union", 0) == 0) &&
-        peek().is_punct("{")) {
-      auto def = make_node(NodeKind::kDecl, base_type, "struct-def");
-      def->line = line;
-      def->column = column;
+    if ((base_type.starts_with("struct") || base_type.starts_with("union")) &&
+        peek().is(TokenId::kLBrace)) {
+      Node* def = make(NodeKind::kDecl, line, column, base_type, "struct-def");
       advance();  // '{'
-      while (!peek().is_punct("}")) {
+      const std::size_t mark = pending_.size();
+      while (!peek().is(TokenId::kRBrace)) {
         if (peek().is(TokenKind::kEnd)) fail("unterminated struct body");
-        def->children.push_back(declarator_list(parse_type()));
-        expect_punct(";");
+        pending_.push_back(member(parse_type()));
+        expect(TokenId::kSemicolon);
       }
       advance();  // '}'
-      accept_punct(";");
-      return def;
+      accept(TokenId::kSemicolon);
+      return adopt(def, mark);
     }
 
     if (!peek().is(TokenKind::kIdentifier)) fail("expected declarator name");
-    const std::string name = advance().text;
+    const Text name = advance().text;
 
-    if (peek().is_punct("(")) return function_rest(base_type, name, line, column);
+    if (peek().is(TokenId::kLParen)) return function_rest(base_type, name, line, column);
 
-    NodePtr decl = declarator_rest(base_type, name, line, column);
-    if (peek().is_punct(",")) {
+    const Node* decl = declarator_rest(base_type, name, line, column);
+    if (peek().is(TokenId::kComma)) {
       // Multi-declarator declaration: wrap in an ExprList of Decls so the
       // statement position holds a single node.
-      auto list = make_node(NodeKind::kExprList);
-      list->line = line;
-      list->column = column;
-      list->children.push_back(std::move(decl));
-      while (accept_punct(",")) {
-        std::string ptr_type = base_type;
-        while (accept_punct("*")) ptr_type += '*';
+      Node* list = make(NodeKind::kExprList, line, column);
+      const std::size_t mark = pending_.size();
+      pending_.push_back(decl);
+      while (accept(TokenId::kComma)) {
+        const Text type = pointer_type(base_type);
         if (!peek().is(TokenKind::kIdentifier)) fail("expected declarator name");
-        const std::string next_name = advance().text;
-        list->children.push_back(declarator_rest(ptr_type, next_name, line, column));
+        const Text next_name = advance().text;
+        pending_.push_back(declarator_rest(type, next_name, line, column));
       }
-      expect_punct(";");
-      return list;
+      expect(TokenId::kSemicolon);
+      return adopt(list, mark);
     }
-    expect_punct(";");
+    expect(TokenId::kSemicolon);
     return decl;
   }
 
-  /// Declaration list sharing one base type, used for struct members.
-  NodePtr declarator_list(const std::string& base_type) {
+  /// One struct member declarator sharing the member list's base type.
+  const Node* member(Text base_type) {
     const int line = peek().line;
     const int column = peek().column;
-    std::string type = base_type;
-    while (accept_punct("*")) type += '*';
+    const Text type = pointer_type(base_type);
     if (!peek().is(TokenKind::kIdentifier)) fail("expected member name");
-    const std::string name = advance().text;
+    const Text name = advance().text;
     return declarator_rest(type, name, line, column, /*allow_init=*/false);
   }
 
   /// Array dimensions and optional initializer after the declarator name.
-  NodePtr declarator_rest(std::string type, const std::string& name, int line,
-                          int column, bool allow_init = true) {
-    auto decl = make_node(NodeKind::kDecl, name);
-    decl->line = line;
-    decl->column = column;
-    while (accept_punct("[")) {
-      type += "[]";
-      if (peek().is_punct("]")) {
-        decl->children.push_back(make_node(NodeKind::kEmpty));
-      } else {
-        decl->children.push_back(expression());
-      }
-      expect_punct("]");
+  const Node* declarator_rest(Text type, Text name, int line, int column,
+                              bool allow_init = true) {
+    Node* decl = make(NodeKind::kDecl, line, column, name);
+    const std::size_t mark = pending_.size();
+    std::size_t dims = 0;
+    while (accept(TokenId::kLBracket)) {
+      ++dims;
+      pending_.push_back(peek().is(TokenId::kRBracket) ? make(NodeKind::kEmpty, 0, 0)
+                                                       : expression());
+      expect(TokenId::kRBracket);
     }
-    decl->aux = std::move(type);
-    if (allow_init && accept_punct("=")) {
-      decl->children.push_back(initializer());
-    }
-    return decl;
+    decl->aux = extend(type, "[]", dims);
+    if (allow_init && accept(TokenId::kAssign)) pending_.push_back(initializer());
+    return adopt(decl, mark);
   }
 
   /// `{1, 2, 3}` initializers become ExprList; otherwise an assignment expr.
-  NodePtr initializer() {
-    if (!peek().is_punct("{")) return assignment_expression();
+  const Node* initializer() {
+    if (!peek().is(TokenId::kLBrace)) return assignment_expression();
+    const Nest nest(*this);
     advance();
-    auto list = make_node(NodeKind::kExprList);
-    if (!peek().is_punct("}")) {
-      list->children.push_back(initializer());
-      while (accept_punct(",")) {
-        if (peek().is_punct("}")) break;  // trailing comma
-        list->children.push_back(initializer());
+    Node* list = make(NodeKind::kExprList, 0, 0);
+    const std::size_t mark = pending_.size();
+    if (!peek().is(TokenId::kRBrace)) {
+      pending_.push_back(initializer());
+      while (accept(TokenId::kComma)) {
+        if (peek().is(TokenId::kRBrace)) break;  // trailing comma
+        pending_.push_back(initializer());
       }
     }
-    expect_punct("}");
-    return list;
+    expect(TokenId::kRBrace);
+    return adopt(list, mark);
   }
 
-  NodePtr function_rest(const std::string& return_type, const std::string& name,
-                        int line, int column) {
-    expect_punct("(");
-    auto params = make_node(NodeKind::kExprList);
-    if (!peek().is_punct(")")) {
-      if (peek().is_keyword("void") && peek(1).is_punct(")")) {
+  const Node* function_rest(Text return_type, Text name, int line, int column) {
+    const Nest nest(*this);  // a helper defined inside a block nests too
+    expect(TokenId::kLParen);
+    Node* params = make(NodeKind::kExprList, 0, 0);
+    const std::size_t mark = pending_.size();
+    if (!peek().is(TokenId::kRParen)) {
+      if (peek().is(TokenId::kVoid) && peek(1).is(TokenId::kRParen)) {
         advance();
       } else {
-        params->children.push_back(parameter());
-        while (accept_punct(",")) params->children.push_back(parameter());
+        pending_.push_back(parameter());
+        while (accept(TokenId::kComma)) pending_.push_back(parameter());
       }
     }
-    expect_punct(")");
+    expect(TokenId::kRParen);
+    adopt(params, mark);
 
-    auto fn = make_node(NodeKind::kFuncDef, name, return_type);
-    fn->line = line;
-    fn->column = column;
-    fn->children.push_back(std::move(params));
-    if (accept_punct(";")) {
-      // Prototype: record as a FuncDef with no body (aux keeps return type).
-      fn->children.push_back(make_node(NodeKind::kEmpty));
-      return fn;
-    }
-    fn->children.push_back(compound());
-    return fn;
+    Node* fn = make(NodeKind::kFuncDef, line, column, name, return_type);
+    // A prototype is a FuncDef with no body (aux keeps the return type).
+    if (accept(TokenId::kSemicolon)) return adopt(fn, {params, make(NodeKind::kEmpty, 0, 0)});
+    return adopt(fn, {params, compound()});
   }
 
-  NodePtr parameter() {
+  const Node* parameter() {
     const int line = peek().line;
     const int column = peek().column;
-    std::string type = parse_type();
-    std::string name;
+    const Text type = parse_type();
+    Text name;
     if (peek().is(TokenKind::kIdentifier)) name = advance().text;
-    auto decl = make_node(NodeKind::kDecl, name);
-    decl->line = line;
-    decl->column = column;
-    while (accept_punct("[")) {
-      type += "[]";
-      if (!peek().is_punct("]")) decl->children.push_back(expression());
-      expect_punct("]");
+    Node* decl = make(NodeKind::kDecl, line, column, name);
+    const std::size_t mark = pending_.size();
+    std::size_t dims = 0;
+    while (accept(TokenId::kLBracket)) {
+      ++dims;
+      if (!peek().is(TokenId::kRBracket)) pending_.push_back(expression());
+      expect(TokenId::kRBracket);
     }
-    decl->aux = std::move(type);
-    return decl;
+    decl->aux = extend(type, "[]", dims);
+    return adopt(decl, mark);
   }
 
   // --- statements ------------------------------------------------------------
 
-  NodePtr compound() {
-    const int line = peek().line;
-    const int column = peek().column;
-    expect_punct("{");
-    auto block = make_node(NodeKind::kCompound);
-    block->line = line;
-    block->column = column;
-    while (!peek().is_punct("}")) {
+  const Node* compound() {
+    const Token& open = expect(TokenId::kLBrace);
+    Node* block = make(NodeKind::kCompound, open);
+    const std::size_t mark = pending_.size();
+    while (!peek().is(TokenId::kRBrace)) {
       if (peek().is(TokenKind::kEnd)) fail("unterminated block");
-      block->children.push_back(block_item());
+      pending_.push_back(item());
     }
     advance();
-    return block;
+    return adopt(block, mark);
   }
 
-  NodePtr block_item() {
-    if (peek().is(TokenKind::kPragma)) {
-      const Token& t = advance();
-      auto pragma = make_node(NodeKind::kPragma, t.text);
-      pragma->line = t.line;
-      pragma->column = t.column;
-      return pragma;
-    }
-    if (starts_type()) return declaration_or_function();
-    return statement();
-  }
-
-  NodePtr statement() {
+  const Node* statement() {
+    const Nest nest(*this);
     const Token& t = peek();
-    const int line = t.line;
-    const int column = t.column;
-    if (t.is_punct("{")) return compound();
-    if (t.is_punct(";")) {
-      advance();
-      auto e = make_node(NodeKind::kEmpty);
-      e->line = line;
-      e->column = column;
-      return e;
+    switch (t.id) {
+      case TokenId::kLBrace:
+        return compound();
+      case TokenId::kSemicolon:
+        advance();
+        return make(NodeKind::kEmpty, t);
+      case TokenId::kIf:
+        return if_statement();
+      case TokenId::kFor:
+        return for_statement();
+      case TokenId::kWhile:
+        return while_statement();
+      case TokenId::kDo:
+        return do_statement();
+      case TokenId::kReturn: {
+        advance();
+        Node* ret = make(NodeKind::kReturn, t);
+        if (peek().is(TokenId::kSemicolon)) {
+          advance();
+          return ret;
+        }
+        const Node* value = expression();
+        expect(TokenId::kSemicolon);
+        return adopt(ret, {value});
+      }
+      case TokenId::kBreak:
+      case TokenId::kContinue:
+        advance();
+        expect(TokenId::kSemicolon);
+        return make(t.is(TokenId::kBreak) ? NodeKind::kBreak : NodeKind::kContinue, t);
+      case TokenId::kGoto: {
+        advance();
+        if (!peek().is(TokenKind::kIdentifier)) fail("expected label after goto");
+        const Node* jump = make(NodeKind::kGoto, t, advance().text);
+        expect(TokenId::kSemicolon);
+        return jump;
+      }
+      default:
+        break;
     }
-    if (t.is(TokenKind::kPragma)) {
-      auto pragma = make_node(NodeKind::kPragma, advance().text);
-      pragma->line = line;
-      pragma->column = column;
-      return pragma;
-    }
-    if (t.is_keyword("if")) return if_statement();
-    if (t.is_keyword("for")) return for_statement();
-    if (t.is_keyword("while")) return while_statement();
-    if (t.is_keyword("do")) return do_statement();
-    if (t.is_keyword("return")) {
-      advance();
-      auto ret = make_node(NodeKind::kReturn);
-      ret->line = line;
-      ret->column = column;
-      if (!peek().is_punct(";")) ret->children.push_back(expression());
-      expect_punct(";");
-      return ret;
-    }
-    if (t.is_keyword("break")) {
-      advance();
-      expect_punct(";");
-      auto n = make_node(NodeKind::kBreak);
-      n->line = line;
-      n->column = column;
-      return n;
-    }
-    if (t.is_keyword("continue")) {
-      advance();
-      expect_punct(";");
-      auto n = make_node(NodeKind::kContinue);
-      n->line = line;
-      n->column = column;
-      return n;
-    }
-    if (t.is_keyword("goto")) {
-      advance();
-      if (!peek().is(TokenKind::kIdentifier)) fail("expected label after goto");
-      auto n = make_node(NodeKind::kGoto, advance().text);
-      n->line = line;
-      n->column = column;
-      expect_punct(";");
-      return n;
-    }
+    if (t.is(TokenKind::kPragma)) return pragma();
     // Label: identifier ':' (not inside a ternary).
-    if (t.is(TokenKind::kIdentifier) && peek(1).is_punct(":")) {
-      auto label = make_node(NodeKind::kLabel, advance().text);
-      label->line = line;
-      label->column = column;
+    if (t.is(TokenKind::kIdentifier) && peek(1).is(TokenId::kColon)) {
+      Node* label = make(NodeKind::kLabel, t, advance().text);
       advance();  // ':'
-      label->children.push_back(statement());
-      return label;
+      return adopt(label, {statement()});
     }
     // Expression statement.
-    auto stmt = make_node(NodeKind::kExprStmt);
-    stmt->line = line;
-    stmt->column = column;
-    stmt->children.push_back(comma_expression());
-    expect_punct(";");
-    return stmt;
+    Node* stmt = make(NodeKind::kExprStmt, t);
+    const Node* expr = comma_expression();
+    expect(TokenId::kSemicolon);
+    return adopt(stmt, {expr});
   }
 
-  NodePtr if_statement() {
+  const Node* if_statement() {
     const Token& kw = advance();  // 'if'
-    expect_punct("(");
-    auto node = make_node(NodeKind::kIf);
-    node->line = kw.line;
-    node->column = kw.column;
-    node->children.push_back(comma_expression());
-    expect_punct(")");
-    node->children.push_back(statement());
-    if (accept_keyword("else")) node->children.push_back(statement());
-    return node;
+    expect(TokenId::kLParen);
+    Node* node = make(NodeKind::kIf, kw);
+    const Node* cond = comma_expression();
+    expect(TokenId::kRParen);
+    const Node* then = statement();
+    if (accept(TokenId::kElse)) return adopt(node, {cond, then, statement()});
+    return adopt(node, {cond, then});
   }
 
-  NodePtr for_statement() {
+  const Node* for_statement() {
     const Token& kw = advance();  // 'for'
-    expect_punct("(");
-    auto node = make_node(NodeKind::kFor);
-    node->line = kw.line;
-    node->column = kw.column;
-    // init
-    if (peek().is_punct(";")) {
-      advance();
-      node->children.push_back(make_node(NodeKind::kEmpty));
+    expect(TokenId::kLParen);
+    Node* node = make(NodeKind::kFor, kw);
+    const Node* init = nullptr;
+    if (accept(TokenId::kSemicolon)) {
+      init = make(NodeKind::kEmpty, 0, 0);
     } else if (starts_type()) {
-      std::string type = parse_type();
+      const Text type = parse_type();
       if (!peek().is(TokenKind::kIdentifier)) fail("expected loop variable name");
-      const std::string name = advance().text;
-      node->children.push_back(declarator_rest(type, name, kw.line, kw.column));
-      expect_punct(";");
+      const Text name = advance().text;
+      init = declarator_rest(type, name, kw.line, kw.column);
+      expect(TokenId::kSemicolon);
     } else {
-      node->children.push_back(comma_expression());
-      expect_punct(";");
+      init = comma_expression();
+      expect(TokenId::kSemicolon);
     }
-    // cond
-    if (peek().is_punct(";")) {
-      node->children.push_back(make_node(NodeKind::kEmpty));
-    } else {
-      node->children.push_back(comma_expression());
-    }
-    expect_punct(";");
-    // next
-    if (peek().is_punct(")")) {
-      node->children.push_back(make_node(NodeKind::kEmpty));
-    } else {
-      node->children.push_back(comma_expression());
-    }
-    expect_punct(")");
-    node->children.push_back(statement());
-    return node;
+    const Node* cond =
+        peek().is(TokenId::kSemicolon) ? make(NodeKind::kEmpty, 0, 0) : comma_expression();
+    expect(TokenId::kSemicolon);
+    const Node* next =
+        peek().is(TokenId::kRParen) ? make(NodeKind::kEmpty, 0, 0) : comma_expression();
+    expect(TokenId::kRParen);
+    return adopt(node, {init, cond, next, statement()});
   }
 
-  NodePtr while_statement() {
+  const Node* while_statement() {
     const Token& kw = advance();  // 'while'
-    expect_punct("(");
-    auto node = make_node(NodeKind::kWhile);
-    node->line = kw.line;
-    node->column = kw.column;
-    node->children.push_back(comma_expression());
-    expect_punct(")");
-    node->children.push_back(statement());
-    return node;
+    expect(TokenId::kLParen);
+    Node* node = make(NodeKind::kWhile, kw);
+    const Node* cond = comma_expression();
+    expect(TokenId::kRParen);
+    return adopt(node, {cond, statement()});
   }
 
-  NodePtr do_statement() {
+  const Node* do_statement() {
     const Token& kw = advance();  // 'do'
-    auto node = make_node(NodeKind::kDoWhile);
-    node->line = kw.line;
-    node->column = kw.column;
-    node->children.push_back(statement());
-    if (!accept_keyword("while")) fail("expected 'while' after do body");
-    expect_punct("(");
-    node->children.push_back(comma_expression());
-    expect_punct(")");
-    expect_punct(";");
-    return node;
+    Node* node = make(NodeKind::kDoWhile, kw);
+    const Node* body = statement();
+    if (!accept(TokenId::kWhile)) fail("expected 'while' after do body");
+    expect(TokenId::kLParen);
+    const Node* cond = comma_expression();
+    expect(TokenId::kRParen);
+    expect(TokenId::kSemicolon);
+    return adopt(node, {body, cond});
   }
 
   // --- expressions -------------------------------------------------------------
 
   /// expr (',' expr)* — multiple expressions become an ExprList.
-  NodePtr comma_expression() {
-    NodePtr first = expression();
-    if (!peek().is_punct(",")) return first;
-    auto list = make_node(NodeKind::kExprList);
-    list->children.push_back(std::move(first));
-    while (accept_punct(",")) list->children.push_back(expression());
-    return list;
+  const Node* comma_expression() {
+    const Node* first = expression();
+    if (!peek().is(TokenId::kComma)) return first;
+    Node* list = make(NodeKind::kExprList, 0, 0);
+    const std::size_t mark = pending_.size();
+    pending_.push_back(first);
+    while (accept(TokenId::kComma)) pending_.push_back(expression());
+    return adopt(list, mark);
   }
 
-  NodePtr expression() { return assignment_expression(); }
+  const Node* expression() { return assignment_expression(); }
 
-  NodePtr assignment_expression() {
-    NodePtr lhs = ternary_expression();
-    static constexpr std::array kAssignOps = {"=",  "+=", "-=",  "*=",  "/=", "%=",
-                                              "&=", "|=", "^=", "<<=", ">>="};
-    for (std::string_view op : kAssignOps) {
-      if (peek().is_punct(op)) {
-        const Token& op_tok = advance();
-        auto node = make_node(NodeKind::kAssignment, std::string(op));
-        node->line = op_tok.line;
-        node->column = op_tok.column;
-        node->children.push_back(std::move(lhs));
-        node->children.push_back(assignment_expression());  // right-assoc
-        return node;
-      }
-    }
-    return lhs;
+  const Node* assignment_expression() {
+    const Node* lhs = ternary_expression();
+    if (!is_assignment(peek().id)) return lhs;
+    const Nest nest(*this);
+    const Token& op = advance();
+    Node* node = make(NodeKind::kAssignment, op, op.text);
+    return adopt(node, {lhs, assignment_expression()});  // right-assoc
   }
 
-  NodePtr ternary_expression() {
-    NodePtr cond = binary_expression(0);
-    if (!accept_punct("?")) return cond;
-    auto node = make_node(NodeKind::kTernaryOp);
-    node->children.push_back(std::move(cond));
-    node->children.push_back(comma_expression());
-    expect_punct(":");
-    node->children.push_back(ternary_expression());
-    return node;
+  const Node* ternary_expression() {
+    const Node* cond = binary_expression(0);
+    if (!accept(TokenId::kQuestion)) return cond;
+    const Nest nest(*this);
+    Node* node = make(NodeKind::kTernaryOp, 0, 0);
+    const Node* then = comma_expression();
+    expect(TokenId::kColon);
+    return adopt(node, {cond, then, ternary_expression()});
   }
 
-  /// Precedence-climbing over C's binary operator table.
-  NodePtr binary_expression(int min_level) {
-    struct Level {
-      int level;
-      std::string_view op;
-    };
-    static constexpr std::array<Level, 18> kOps = {{
-        {0, "||"}, {1, "&&"}, {2, "|"},  {3, "^"},  {4, "&"},  {5, "=="},
-        {5, "!="}, {6, "<"},  {6, ">"},  {6, "<="}, {6, ">="}, {7, "<<"},
-        {7, ">>"}, {8, "+"},  {8, "-"},  {9, "*"},  {9, "/"},  {9, "%"},
-    }};
-    NodePtr lhs = unary_expression();
+  /// Precedence climbing over C's binary operator table.
+  const Node* binary_expression(int min_level) {
+    const Node* lhs = unary_expression();
     while (true) {
-      int matched_level = -1;
-      std::string_view matched_op;
-      for (const Level& entry : kOps) {
-        if (entry.level >= min_level && peek().is_punct(entry.op)) {
-          matched_level = entry.level;
-          matched_op = entry.op;
-          break;
-        }
-      }
-      if (matched_level < 0) return lhs;
-      const Token& op_tok = advance();
-      auto node = make_node(NodeKind::kBinaryOp, std::string(matched_op));
-      node->line = op_tok.line;
-      node->column = op_tok.column;
-      node->children.push_back(std::move(lhs));
-      node->children.push_back(binary_expression(matched_level + 1));
-      lhs = std::move(node);
+      const int level = binary_level(peek().id);
+      if (level < min_level) return lhs;
+      const Token& op = advance();
+      Node* node = make(NodeKind::kBinaryOp, op, op.text);
+      lhs = adopt(node, {lhs, binary_expression(level + 1)});
     }
   }
 
-  bool looks_like_cast() const {
-    return peek().is_punct("(") && starts_type(1);
-  }
-
-  NodePtr unary_expression() {
+  const Node* unary_expression() {
+    const Nest nest(*this);
     const Token& t = peek();
-    const int line = t.line;
-    const int column = t.column;
-    if (t.is_punct("++") || t.is_punct("--")) {
-      advance();
-      auto node = make_node(NodeKind::kUnaryOp, t.text);
-      node->line = line;
-      node->column = column;
-      node->children.push_back(unary_expression());
-      return node;
-    }
-    static constexpr std::array kPrefix = {"+", "-", "!", "~", "*", "&"};
-    for (std::string_view op : kPrefix) {
-      if (t.is_punct(op)) {
+    switch (t.id) {
+      case TokenId::kPlusPlus:
+      case TokenId::kMinusMinus:
+      case TokenId::kPlus:
+      case TokenId::kMinus:
+      case TokenId::kBang:
+      case TokenId::kTilde:
+      case TokenId::kStar:
+      case TokenId::kAmp: {
         advance();
-        auto node = make_node(NodeKind::kUnaryOp, std::string(op));
-        node->line = line;
-        node->column = column;
-        node->children.push_back(unary_expression());
+        Node* node = make(NodeKind::kUnaryOp, t, t.text);
+        return adopt(node, {unary_expression()});
+      }
+      case TokenId::kSizeof: {
+        advance();
+        Node* node = make(NodeKind::kSizeof, t);
+        if (!peek().is(TokenId::kLParen) || !starts_type(1))
+          return adopt(node, {unary_expression()});
+        advance();
+        const Text type = parse_type();
+        std::size_t dims = 0;
+        while (accept(TokenId::kLBracket)) {  // sizeof(int[4]) — rare but cheap
+          ++dims;
+          if (!peek().is(TokenId::kRBracket)) expression();
+          expect(TokenId::kRBracket);
+        }
+        expect(TokenId::kRParen);
+        node->text = extend(type, "[]", dims);
         return node;
       }
-    }
-    if (t.is_keyword("sizeof")) {
-      advance();
-      auto node = make_node(NodeKind::kSizeof);
-      node->line = line;
-      node->column = column;
-      if (peek().is_punct("(") && starts_type(1)) {
-        advance();
-        std::string type = parse_type();
-        while (accept_punct("[")) {  // sizeof(int[4]) — rare but cheap
-          type += "[]";
-          if (!peek().is_punct("]")) expression();
-          expect_punct("]");
-        }
-        expect_punct(")");
-        node->text = type;
-      } else {
-        node->children.push_back(unary_expression());
+      case TokenId::kLParen: {
+        if (!starts_type(1)) break;
+        advance();  // a cast: '(' type ')'
+        const Text type = parse_type();
+        expect(TokenId::kRParen);
+        Node* node = make(NodeKind::kCast, t, type);
+        return adopt(node, {unary_expression()});
       }
-      return node;
-    }
-    if (looks_like_cast()) {
-      advance();  // '('
-      std::string type = parse_type();
-      expect_punct(")");
-      auto node = make_node(NodeKind::kCast, type);
-      node->line = line;
-      node->column = column;
-      node->children.push_back(unary_expression());
-      return node;
+      default:
+        break;
     }
     return postfix_expression();
   }
 
-  NodePtr postfix_expression() {
-    NodePtr node = primary_expression();
+  const Node* postfix_expression() {
+    const Node* node = primary_expression();
     while (true) {
       const Token& t = peek();
-      if (t.is_punct("[")) {
-        advance();
-        auto ref = make_node(NodeKind::kArrayRef);
-        ref->line = t.line;
-        ref->column = t.column;
-        ref->children.push_back(std::move(node));
-        ref->children.push_back(comma_expression());
-        expect_punct("]");
-        node = std::move(ref);
-      } else if (t.is_punct("(")) {
-        advance();
-        auto call = make_node(NodeKind::kFuncCall);
-        call->line = t.line;
-        call->column = t.column;
-        call->children.push_back(std::move(node));
-        auto args = make_node(NodeKind::kExprList);
-        if (!peek().is_punct(")")) {
-          args->children.push_back(expression());
-          while (accept_punct(",")) args->children.push_back(expression());
+      switch (t.id) {
+        case TokenId::kLBracket: {
+          advance();
+          Node* ref = make(NodeKind::kArrayRef, t);
+          const Node* index = comma_expression();
+          expect(TokenId::kRBracket);
+          node = adopt(ref, {node, index});
+          break;
         }
-        expect_punct(")");
-        call->children.push_back(std::move(args));
-        node = std::move(call);
-      } else if (t.is_punct(".") || t.is_punct("->")) {
-        advance();
-        if (!peek().is(TokenKind::kIdentifier)) fail("expected member name");
-        auto ref = make_node(NodeKind::kStructRef, t.text);
-        ref->line = t.line;
-        ref->column = t.column;
-        ref->children.push_back(std::move(node));
-        ref->children.push_back(make_id(advance().text));
-        node = std::move(ref);
-      } else if (t.is_punct("++") || t.is_punct("--")) {
-        advance();
-        auto op = make_node(NodeKind::kUnaryOp, "p" + t.text);  // pycparser: p++
-        op->line = t.line;
-        op->column = t.column;
-        op->children.push_back(std::move(node));
-        node = std::move(op);
-      } else {
-        return node;
+        case TokenId::kLParen: {
+          advance();
+          Node* call = make(NodeKind::kFuncCall, t);
+          Node* args = make(NodeKind::kExprList, 0, 0);
+          const std::size_t mark = pending_.size();
+          if (!peek().is(TokenId::kRParen)) {
+            pending_.push_back(expression());
+            while (accept(TokenId::kComma)) pending_.push_back(expression());
+          }
+          expect(TokenId::kRParen);
+          node = adopt(call, {node, adopt(args, mark)});
+          break;
+        }
+        case TokenId::kDot:
+        case TokenId::kArrow: {
+          advance();
+          if (!peek().is(TokenKind::kIdentifier)) fail("expected member name");
+          Node* ref = make(NodeKind::kStructRef, t, t.text);
+          node = adopt(ref, {node, make(NodeKind::kID, 0, 0, advance().text)});
+          break;
+        }
+        case TokenId::kPlusPlus:
+        case TokenId::kMinusMinus: {
+          advance();
+          // pycparser spells postfix operators "p++" / "p--".
+          Node* op = make(NodeKind::kUnaryOp, t, t.is(TokenId::kPlusPlus) ? "p++" : "p--");
+          node = adopt(op, {node});
+          break;
+        }
+        default:
+          return node;
       }
     }
   }
 
-  NodePtr primary_expression() {
+  const Node* primary_expression() {
     const Token& t = peek();
-    const int line = t.line;
-    const int column = t.column;
     switch (t.kind) {
-      case TokenKind::kIdentifier: {
-        auto node = make_id(advance().text);
-        node->line = line;
-        node->column = column;
-        return node;
-      }
-      case TokenKind::kIntLiteral: {
-        auto node = make_node(NodeKind::kConstant, advance().text, "int");
-        node->line = line;
-        node->column = column;
-        return node;
-      }
-      case TokenKind::kFloatLiteral: {
-        auto node = make_node(NodeKind::kConstant, advance().text, "float");
-        node->line = line;
-        node->column = column;
-        return node;
-      }
-      case TokenKind::kCharLiteral: {
-        auto node = make_node(NodeKind::kConstant, advance().text, "char");
-        node->line = line;
-        node->column = column;
-        return node;
-      }
-      case TokenKind::kStringLiteral: {
-        auto node = make_node(NodeKind::kConstant, advance().text, "string");
-        node->line = line;
-        node->column = column;
-        return node;
-      }
+      case TokenKind::kIdentifier:
+        advance();
+        return make(NodeKind::kID, t, t.text);
+      case TokenKind::kIntLiteral:
+        advance();
+        return make(NodeKind::kConstant, t, t.text, "int");
+      case TokenKind::kFloatLiteral:
+        advance();
+        return make(NodeKind::kConstant, t, t.text, "float");
+      case TokenKind::kCharLiteral:
+        advance();
+        return make(NodeKind::kConstant, t, t.text, "char");
+      case TokenKind::kStringLiteral:
+        advance();
+        return make(NodeKind::kConstant, t, t.text, "string");
       case TokenKind::kPunct:
-        if (t.text == "(") {
+        if (t.is(TokenId::kLParen)) {
           advance();
-          NodePtr inner = comma_expression();
-          expect_punct(")");
+          const Node* inner = comma_expression();
+          expect(TokenId::kRParen);
           return inner;
         }
         break;
@@ -697,18 +707,44 @@ class Parser {
     fail("expected an expression");
   }
 
-  std::vector<Token> tokens_;
+  const Token* tokens_;
+  std::size_t last_;  // index of the end token
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open Nest levels
+  std::vector<const Node*>& pending_;
+  std::string& type_;
+  Arena& arena_;
 };
+
+/// One parse: the source is copied into the tree's arena (tokens and node
+/// text view that copy), lexed into the thread's scratch, then parsed.
+NodePtr parse(std::string_view source, bool expression_only) {
+  Scratch& scratch = t_scratch;
+  struct ReleaseLargeScratch {
+    Scratch& scratch;
+    ~ReleaseLargeScratch() {
+      if (scratch.tokens.capacity() <= kKeptTokens) return;
+      std::vector<Token>().swap(scratch.tokens);
+      std::vector<const Node*>().swap(scratch.pending);
+    }
+  } release{scratch};
+
+  Arena arena;
+  arena.reserve(arena_estimate(source.size()));
+  char* copy = arena.allocate_array<char>(source.size());
+  std::copy(source.begin(), source.end(), copy);
+  lex_into({copy, source.size()}, scratch.tokens);
+  Parser parser(scratch, arena);
+  const Node* root = expression_only ? parser.single_expression() : parser.program();
+  return NodePtr(std::move(arena), root);
+}
 
 }  // namespace
 
-NodePtr parse_program(std::string_view source) { return Parser{source}.program(); }
+NodePtr parse_program(std::string_view source) { return parse(source, false); }
 
-NodePtr parse_snippet(std::string_view source) { return Parser{source}.snippet(); }
+NodePtr parse_snippet(std::string_view source) { return parse(source, false); }
 
-NodePtr parse_expression(std::string_view source) {
-  return Parser{source}.single_expression();
-}
+NodePtr parse_expression(std::string_view source) { return parse(source, true); }
 
 }  // namespace clpp::frontend

@@ -13,6 +13,11 @@
 // definitions and calls. Unsupported constructs raise ParseError with a
 // source position — the same contract pycparser gives the original
 // pipeline (and the same failure mode Cetus exhibits on hostile input).
+//
+// Nesting is bounded: input whose statements, blocks, parentheses or
+// operator chains nest deeper than kMaxNesting raises ParseError too, so
+// hostile input can overflow neither the parser's stack nor that of a
+// recursive walk over the tree it returns.
 #pragma once
 
 #include <string_view>
@@ -20,6 +25,11 @@
 #include "frontend/ast.h"
 
 namespace clpp::frontend {
+
+/// Deepest nesting a parse accepts, and the deepest tree it returns
+/// (Node::height). Python's default recursion limit, which bounds
+/// pycparser's own tree walks, is the same order.
+inline constexpr int kMaxNesting = 1000;
 
 /// Parses a full translation unit.
 NodePtr parse_program(std::string_view source);

@@ -28,9 +28,8 @@ class Printer {
   }
 
   /// Splits "int[][]" style aux strings into base type and dimension count.
-  static std::string base_type(const std::string& aux) {
-    const std::size_t bracket = aux.find("[]");
-    return bracket == std::string::npos ? aux : aux.substr(0, bracket);
+  static std::string_view base_type(std::string_view aux) {
+    return aux.substr(0, aux.find("[]"));
   }
 
   std::string decl_text(const Node& node) {
@@ -51,7 +50,7 @@ class Printer {
     return os.str();
   }
 
-  static std::size_t count_dims(const std::string& aux) {
+  static std::size_t count_dims(std::string_view aux) {
     std::size_t n = 0;
     for (std::size_t pos = aux.find("[]"); pos != std::string::npos;
          pos = aux.find("[]", pos + 2))
@@ -62,7 +61,7 @@ class Printer {
   void stmt(std::ostringstream& os, const Node& node, int indent) {
     switch (node.kind) {
       case NodeKind::kTranslationUnit:
-        for (const NodePtr& c : node.children) stmt(os, *c, indent);
+        for (const Node* c : node.children) stmt(os, *c, indent);
         return;
       case NodeKind::kFuncDef: {
         os << pad(indent) << node.aux << ' ' << node.text << '(';
@@ -82,7 +81,7 @@ class Printer {
       }
       case NodeKind::kCompound:
         os << pad(indent) << "{\n";
-        for (const NodePtr& c : node.children) stmt(os, *c, indent + 1);
+        for (const Node* c : node.children) stmt(os, *c, indent + 1);
         os << pad(indent) << "}\n";
         return;
       case NodeKind::kDecl:
@@ -188,23 +187,19 @@ class Printer {
       case NodeKind::kID:
         return node.text;
       case NodeKind::kConstant:
-        if (node.aux == "string") return '"' + node.text + '"';
-        if (node.aux == "char") return '\'' + node.text + '\'';
+        if (node.aux == "string") return '"' + std::string(node.text) + '"';
+        if (node.aux == "char") return '\'' + std::string(node.text) + '\'';
         return node.text;
-      case NodeKind::kAssignment: {
-        const std::string s = expr(node.child(0), false) + " " + node.text + " " +
-                              expr(node.child(1), false);
-        return top ? s : "(" + s + ")";
-      }
+      case NodeKind::kAssignment:
       case NodeKind::kBinaryOp: {
-        const std::string s = expr(node.child(0), false) + " " + node.text + " " +
-                              expr(node.child(1), false);
+        const std::string s = expr(node.child(0), false) + " " + std::string(node.text) +
+                              " " + expr(node.child(1), false);
         return top ? s : "(" + s + ")";
       }
       case NodeKind::kUnaryOp: {
         if (node.text == "p++" || node.text == "p--")
-          return expr(node.child(0), false) + node.text.substr(1);
-        const std::string s = node.text + expr(node.child(0), false);
+          return expr(node.child(0), false) + std::string(node.text.substr(1));
+        const std::string s = std::string(node.text) + expr(node.child(0), false);
         return top ? s : "(" + s + ")";
       }
       case NodeKind::kTernaryOp: {
@@ -233,11 +228,12 @@ class Printer {
         return top ? s : "(" + s + ")";
       }
       case NodeKind::kStructRef:
-        return expr(node.child(0), false) + node.text + node.child(1).text;
+        return expr(node.child(0), false) + std::string(node.text) +
+               std::string(node.child(1).text);
       case NodeKind::kCast:
-        return "(" + node.text + ") " + expr(node.child(0), false);
+        return "(" + std::string(node.text) + ") " + expr(node.child(0), false);
       case NodeKind::kSizeof:
-        if (node.children.empty()) return "sizeof(" + node.text + ")";
+        if (node.children.empty()) return "sizeof(" + std::string(node.text) + ")";
         return "sizeof(" + expr(node.child(0), true) + ")";
       case NodeKind::kEmpty:
         return "";

@@ -169,7 +169,7 @@ LintReport Linter::lint_unit(const Node& unit, std::string file) const {
       const Node* stmt = nullptr;
       for (std::size_t j = i + 1; j < scope.children.size(); ++j) {
         if (scope.children[j]->kind == NodeKind::kPragma) continue;
-        stmt = scope.children[j].get();
+        stmt = scope.children[j];
         break;
       }
       lint_pair(oracle, pragma_range(item), directive, stmt, report);

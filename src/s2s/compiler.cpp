@@ -60,7 +60,7 @@ CompilerProfile par4all_profile() {
 
 const Node* find_target_loop(const Node& unit) {
   for (const auto& child : unit.children)
-    if (child->kind == NodeKind::kFor) return child.get();
+    if (child->kind == NodeKind::kFor) return child;
   // Fall back to the first loop anywhere (snippet wrapped in a function).
   const Node* found = nullptr;
   frontend::walk(unit, [&](const Node& node, int) {
@@ -194,7 +194,7 @@ std::string S2SCompiler::annotate(const std::string& source) const {
   const Node* target = find_target_loop(*unit);
   std::string out;
   for (const auto& item : unit->children) {
-    if (item.get() == target) out += result.directive->to_string() + "\n";
+    if (item == target) out += result.directive->to_string() + "\n";
     out += frontend::print_source(*item);
   }
   return out;

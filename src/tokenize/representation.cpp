@@ -1,10 +1,9 @@
 #include "tokenize/representation.h"
 
-#include <functional>
+#include <charconv>
 #include <set>
 
 #include "analysis/sideeffects.h"
-#include "frontend/dfs.h"
 #include "frontend/lexer.h"
 #include "frontend/parser.h"
 #include "support/error.h"
@@ -49,25 +48,33 @@ bool is_builtin_name(const std::string& name) {
          analysis::SideEffectOracle::is_known_alloc(name);
 }
 
-/// Normalizes a literal token so the vocabulary stays small and closed.
-std::string bucket_literal(const Token& token) {
-  switch (token.kind) {
+/// Normalizes a literal value so the vocabulary stays small and closed:
+/// integers above 100 and floats longer than four characters become
+/// "<num>", string and char bodies "<str>" and "<chr>".
+std::string bucket_literal(TokenKind kind, std::string_view value) {
+  switch (kind) {
     case TokenKind::kIntLiteral: {
-      try {
-        if (std::stoll(token.text) <= 100) return token.text;
-      } catch (const std::exception&) {
-      }
-      return "<num>";
+      long long number = 0;
+      const auto [end, error] = std::from_chars(value.data(), value.data() + value.size(), number);
+      return error == std::errc() && number <= 100 ? std::string(value) : "<num>";
     }
     case TokenKind::kFloatLiteral:
-      return token.text.size() <= 4 ? token.text : "<num>";
+      return value.size() <= 4 ? std::string(value) : "<num>";
     case TokenKind::kStringLiteral:
       return "<str>";
     case TokenKind::kCharLiteral:
       return "<chr>";
     default:
-      return token.text;
+      return std::string(value);
   }
+}
+
+/// The literal kind a Constant node's type (its aux) spells.
+TokenKind literal_kind(std::string_view type) {
+  if (type == "int") return TokenKind::kIntLiteral;
+  if (type == "float") return TokenKind::kFloatLiteral;
+  if (type == "string") return TokenKind::kStringLiteral;
+  return TokenKind::kCharLiteral;
 }
 
 /// Classification of snippet identifiers for replacement.
@@ -76,28 +83,34 @@ struct NameClasses {
   std::set<std::string> functions;
 };
 
-NameClasses classify_names(const std::string& code) {
+NameClasses classify_names(const Node& unit) {
   NameClasses out;
-  // Parse if possible; fall back to no class info (everything becomes varN).
-  try {
-    const frontend::NodePtr unit = frontend::parse_snippet(code);
-    frontend::walk(*unit, [&](const Node& node, int) {
-      if (node.kind == NodeKind::kArrayRef && node.child(0).kind == NodeKind::kID)
-        out.arrays.insert(node.child(0).text);
-      if (node.kind == NodeKind::kFuncCall && node.child(0).kind == NodeKind::kID)
-        out.functions.insert(node.child(0).text);
-      if (node.kind == NodeKind::kFuncDef) out.functions.insert(node.text);
-      if (node.kind == NodeKind::kDecl && node.aux.find("[]") != std::string::npos)
-        out.arrays.insert(node.text);
-    });
-  } catch (const ParseError&) {
-  }
+  frontend::walk(unit, [&](const Node& node, int) {
+    if (node.kind == NodeKind::kArrayRef && node.child(0).kind == NodeKind::kID)
+      out.arrays.insert(node.child(0).text);
+    if (node.kind == NodeKind::kFuncCall && node.child(0).kind == NodeKind::kID)
+      out.functions.insert(node.child(0).text);
+    if (node.kind == NodeKind::kFuncDef) out.functions.insert(node.text);
+    if (node.kind == NodeKind::kDecl && node.aux.find("[]") != std::string::npos)
+      out.arrays.insert(node.text);
+  });
   return out;
 }
 
-std::map<std::string, std::string> build_replacements(
-    const std::vector<Token>& tokens, const NameClasses& classes) {
-  std::map<std::string, std::string> map;
+/// Classes of a snippet that may not parse: without a tree, every name
+/// becomes varN.
+NameClasses classify_names(const std::string& code) {
+  try {
+    return classify_names(*frontend::parse_snippet(code));
+  } catch (const ParseError&) {
+    return {};
+  }
+}
+
+using NameMap = std::map<std::string, std::string>;
+
+NameMap build_replacements(const frontend::TokenList& tokens, const NameClasses& classes) {
+  NameMap map;
   std::size_t vars = 0, arrs = 0, fns = 0;
   for (const Token& token : tokens) {
     if (token.kind != TokenKind::kIdentifier) continue;
@@ -114,9 +127,14 @@ std::map<std::string, std::string> build_replacements(
   return map;
 }
 
+std::string renamed(const NameMap& map, std::string_view name) {
+  const auto it = map.find(std::string(name));
+  return it == map.end() ? std::string(name) : it->second;
+}
+
 std::vector<std::string> text_tokens(const std::string& code, bool replaced) {
-  const std::vector<Token> tokens = frontend::lex(code);
-  std::map<std::string, std::string> map;
+  const frontend::TokenList tokens = frontend::lex(code);
+  NameMap map;
   if (replaced) map = build_replacements(tokens, classify_names(code));
   std::vector<std::string> out;
   out.reserve(tokens.size());
@@ -124,59 +142,50 @@ std::vector<std::string> text_tokens(const std::string& code, bool replaced) {
     if (token.kind == TokenKind::kEnd) break;
     if (token.kind == TokenKind::kPragma) continue;  // never leak labels
     if (token.kind == TokenKind::kIdentifier && replaced) {
-      auto it = map.find(token.text);
-      out.push_back(it == map.end() ? token.text : it->second);
+      out.push_back(renamed(map, token.text));
       continue;
     }
-    out.push_back(bucket_literal(token));
+    out.push_back(bucket_literal(token.kind, token.text));
   }
   return out;
 }
 
+/// frontend::dfs_tokens' stream read off one parse as a model input:
+/// pragma nodes are skipped so a label never leaks into its own input,
+/// ID/Decl/FuncDef names are replaced under R-AST, and constant values are
+/// bucketed like the Text path's literals.
 std::vector<std::string> ast_tokens(const std::string& code, bool replaced) {
-  frontend::NodePtr unit = frontend::parse_snippet(code);
-  std::map<std::string, std::string> map;
-  if (replaced) map = build_replacements(frontend::lex(code), classify_names(code));
-  // Strip pragmas: labels must not leak into inputs.
-  std::function<void(Node&)> strip = [&](Node& node) {
-    auto& kids = node.children;
-    kids.erase(std::remove_if(kids.begin(), kids.end(),
-                              [](const frontend::NodePtr& c) {
-                                return c->kind == NodeKind::kPragma;
-                              }),
-               kids.end());
-    for (auto& c : kids) strip(*c);
-  };
-  strip(*unit);
-  if (replaced) {
-    frontend::walk_mut(*unit, [&](Node& node, int) {
-      auto rename = [&](std::string& name) {
-        auto it = map.find(name);
-        if (it != map.end()) name = it->second;
-      };
-      if (node.kind == NodeKind::kID || node.kind == NodeKind::kDecl ||
-          node.kind == NodeKind::kFuncDef)
-        rename(node.text);
-    });
-  }
-  std::vector<std::string> out = frontend::dfs_tokens(*unit);
-  // Bucket constant values the same way the text path does.
-  for (std::size_t t = 0; t + 2 < out.size(); ++t) {
-    if (out[t] != "Constant:") continue;
-    const std::string& type = out[t + 1];
-    std::string& value = out[t + 2];
-    if (type == "string") value = "<str>";
-    else if (type == "char") value = "<chr>";
-    else if (type == "int") {
-      try {
-        if (std::stoll(value) > 100) value = "<num>";
-      } catch (const std::exception&) {
-        value = "<num>";
-      }
-    } else if (type == "float" && value.size() > 4) {
-      value = "<num>";
+  const frontend::NodePtr unit = frontend::parse_snippet(code);
+  NameMap map;
+  if (replaced) map = build_replacements(frontend::lex(code), classify_names(*unit));
+  std::vector<std::string> out;
+  frontend::walk(*unit, [&](const Node& node, int) {
+    if (node.kind == NodeKind::kTranslationUnit || node.kind == NodeKind::kPragma) return;
+    out.push_back(frontend::node_kind_name(node.kind) + ":");
+    switch (node.kind) {
+      case NodeKind::kID:
+      case NodeKind::kFuncDef:
+        out.push_back(renamed(map, node.text));
+        return;
+      case NodeKind::kDecl:
+        out.push_back(renamed(map, node.text));
+        out.push_back(node.aux);
+        return;
+      case NodeKind::kConstant:
+        out.push_back(node.aux);
+        out.push_back(bucket_literal(literal_kind(node.aux), node.text));
+        return;
+      case NodeKind::kAssignment:
+      case NodeKind::kBinaryOp:
+      case NodeKind::kUnaryOp:
+      case NodeKind::kStructRef:
+      case NodeKind::kCast:
+        out.push_back(node.text);
+        return;
+      default:
+        return;
     }
-  }
+  });
   return out;
 }
 

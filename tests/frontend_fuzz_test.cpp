@@ -4,6 +4,9 @@
 // this failure mode being an exception, not UB.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "frontend/lexer.h"
 #include "frontend/parser.h"
 #include "frontend/pragma.h"
@@ -94,6 +97,52 @@ TEST(FrontendFuzz, DeeplyNestedExpressionsAreBounded) {
 
   std::string unbalanced(300, '(');
   EXPECT_THROW(parse_snippet(unbalanced + "x;"), ParseError);
+}
+
+/// `text` repeated `times` times.
+std::string repeated(std::string_view text, int times) {
+  std::string out;
+  out.reserve(text.size() * static_cast<std::size_t>(times));
+  for (int i = 0; i < times; ++i) out += text;
+  return out;
+}
+
+/// Parsing `input` fails with the nesting bound's ParseError.
+void expect_too_deep(const std::string& input) {
+  try {
+    parse_snippet(input);
+    ADD_FAILURE() << "a 100,000-level input parsed";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 1000 levels"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Hostile nesting gets ParseError, not a smashed stack: in the parser,
+// which recurses per level, and in every recursive walk over the tree it
+// would return. Each shape is 100,000 levels deep.
+TEST(FrontendFuzz, DeepParenthesesAreAParseError) {
+  expect_too_deep("x = " + repeated("(", 100000) + "y" + repeated(")", 100000) + ";");
+}
+
+TEST(FrontendFuzz, DeepBlocksAreAParseError) {
+  expect_too_deep(repeated("{", 100000) + repeated("}", 100000));
+}
+
+TEST(FrontendFuzz, LongOperatorChainsAreAParseError) {
+  // The chain is a loop in the parser, but a 100,000-deep tree.
+  expect_too_deep("#pragma omp parallel for\nfor (i = 0; i < n; i++)\n  a[i] = b[i]" +
+                  repeated(" + b[i]", 99999) + ";\n");
+}
+
+TEST(FrontendFuzz, NestingUpToTheBoundParses) {
+  // The bound counts tree levels: a chain whose tree is kMaxNesting deep
+  // (the statement, the assignment, then the chain) parses, one more
+  // level does not.
+  const auto chain = [](int links) { return "s = b" + repeated(" + b", links) + ";"; };
+  const NodePtr unit = parse_snippet(chain(kMaxNesting - 4));
+  EXPECT_EQ(unit->height, static_cast<std::uint32_t>(kMaxNesting));
+  EXPECT_THROW(parse_snippet(chain(kMaxNesting - 3)), ParseError);
 }
 
 TEST(FrontendFuzz, LongFlatProgramsParse) {

@@ -509,13 +509,6 @@ TEST(Pragma, ReductionOpNamesRoundTrip) {
 
 // --- misc AST utilities ----------------------------------------------------------------
 
-TEST(Ast, CloneIsDeepAndEqual) {
-  const NodePtr unit = parse_snippet("for (i = 0; i < n; i++) a[i] = f(i);");
-  const NodePtr copy = unit->clone();
-  EXPECT_EQ(dfs_lines(*unit), dfs_lines(*copy));
-  EXPECT_NE(unit->children[0].get(), copy->children[0].get());
-}
-
 TEST(Ast, CountKind) {
   const NodePtr unit = parse_snippet("a = b + c * d - e;");
   EXPECT_EQ(count_kind(*unit, NodeKind::kBinaryOp), 3u);

@@ -198,7 +198,7 @@ TEST(FindTargetLoop, PrefersTopLevel) {
       "x = 1;\nfor (i = 0; i < n; i++) a[i] = i;\nfor (j = 0; j < n; j++) ;");
   const frontend::Node* loop = find_target_loop(*unit);
   ASSERT_NE(loop, nullptr);
-  EXPECT_EQ(loop, unit->children[1].get());
+  EXPECT_EQ(loop, unit->children[1]);
 }
 
 TEST(FindTargetLoop, FindsNestedInsideFunction) {
