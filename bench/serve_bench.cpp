@@ -26,7 +26,6 @@
 // same per snippet on either path). All rates are wall-time items/s.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,8 +33,6 @@
 #include "core/advisor.h"
 #include "obs/obs.h"
 #include "serve/server.h"
-#include "tokenize/representation.h"
-#include "tokenize/vocabulary.h"
 
 namespace {
 
@@ -66,28 +63,14 @@ const std::vector<std::string>& snippet_mix() {
 /// Untrained advisor on the default model config — weights are irrelevant
 /// for throughput, and skipping training keeps the bench startup instant.
 const core::ParallelAdvisor& advisor() {
-  static const std::unique_ptr<core::ParallelAdvisor> instance = [] {
-    std::vector<std::vector<std::string>> documents;
-    for (const std::string& code : snippet_mix())
-      documents.push_back(tokenize::tokenize(code, tokenize::Representation::kText));
-    tokenize::Vocabulary vocab = tokenize::Vocabulary::build(documents);
-
+  static const core::ParallelAdvisor instance = [] {
     core::PipelineConfig defaults;  // the default encoder shape
     core::PragFormerConfig config;
     config.encoder = defaults.encoder;
-    config.encoder.vocab_size = vocab.size();
-    Rng rng(2023);
-    auto directive = std::make_unique<core::PragFormer>(config, rng);
-    auto private_model = std::make_unique<core::PragFormer>(config, rng);
-    auto reduction = std::make_unique<core::PragFormer>(config, rng);
-    auto schedule = std::make_unique<core::PragFormer>(config, rng);
-    auto built = std::make_unique<core::ParallelAdvisor>(
-        std::move(directive), std::move(private_model), std::move(reduction),
-        std::move(vocab), tokenize::Representation::kText, defaults.max_len);
-    built->set_schedule_model(std::move(schedule));
-    return built;
+    return core::ParallelAdvisor::untrained(snippet_mix(), config,
+                                            defaults.max_len, 2023);
   }();
-  return *instance;
+  return instance;
 }
 
 core::AdviseOptions model_only() {

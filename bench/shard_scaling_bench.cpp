@@ -21,22 +21,15 @@
 // min(shards, ncores) — a 2-core runner is expected to scale to 2 shards
 // and flatline beyond, not to 8.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -45,19 +38,15 @@
 
 #include "cache/cache.h"
 #include "core/advisor.h"
-#include "shard/frame.h"
+#include "shard/client.h"
 #include "shard/listener.h"
 #include "shard/supervisor.h"
-#include "shard/worker.h"
 #include "support/cli.h"
 #include "support/json.h"
-#include "tokenize/representation.h"
-#include "tokenize/vocabulary.h"
 
 namespace {
 
 using namespace clpp;
-using Clock = std::chrono::steady_clock;
 
 // ------------------------------------------------------------ snippet mixes
 
@@ -83,47 +72,14 @@ std::string distinct_snippet(std::size_t r) {
 /// clpp-serve --random-model): scaling and cache behaviour are independent
 /// of model quality, and skipping training keeps the bench self-contained.
 core::ParallelAdvisor bench_advisor() {
-  std::vector<std::vector<std::string>> documents;
-  for (std::size_t k = 0; k < 32; ++k)
-    documents.push_back(
-        tokenize::tokenize(hot_snippet(k), tokenize::Representation::kText));
-  documents.push_back(
-      tokenize::tokenize(distinct_snippet(0), tokenize::Representation::kText));
-  tokenize::Vocabulary vocab = tokenize::Vocabulary::build(documents);
-
+  std::vector<std::string> snippets;
+  for (std::size_t k = 0; k < 32; ++k) snippets.push_back(hot_snippet(k));
+  snippets.push_back(distinct_snippet(0));
   core::PipelineConfig defaults;
   core::PragFormerConfig config;
   config.encoder = defaults.encoder;
-  config.encoder.vocab_size = vocab.size();
-  Rng rng(2023);
-  auto directive = std::make_unique<core::PragFormer>(config, rng);
-  auto private_model = std::make_unique<core::PragFormer>(config, rng);
-  auto reduction = std::make_unique<core::PragFormer>(config, rng);
-  auto schedule = std::make_unique<core::PragFormer>(config, rng);
-  core::ParallelAdvisor advisor(std::move(directive), std::move(private_model),
-                                std::move(reduction), std::move(vocab),
-                                tokenize::Representation::kText,
-                                defaults.max_len);
-  advisor.set_schedule_model(std::move(schedule));
-  return advisor;
-}
-
-// ----------------------------------------------------------- socket client
-
-int connect_loopback(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof addr);
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
+  return core::ParallelAdvisor::untrained(snippets, config, defaults.max_len,
+                                          2023);
 }
 
 // ------------------------------------------------------------- front end
@@ -174,23 +130,10 @@ struct PointResult {
   double dup_rate = 0.0;
   std::size_t cache_cap = 0;
   std::size_t requests = 0;
-  std::size_t ok = 0;
-  std::size_t shed = 0;
-  std::size_t errors = 0;
-  std::size_t lost = 0;
-  std::size_t cached = 0;
-  double seconds = 0.0;
+  shard::ClosedLoopResult run;
   double throughput_rps = 0.0;
-  double p50_us = 0.0, p95_us = 0.0, p99_us = 0.0;
   Json server = Json::object();
 };
-
-double percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const auto rank =
-      static_cast<std::size_t>(p * static_cast<double>(sorted.size() - 1));
-  return sorted[rank];
-}
 
 PointResult run_point(const core::ParallelAdvisor& advisor, std::size_t shards,
                       std::size_t cache_entries, std::size_t requests,
@@ -236,148 +179,63 @@ PointResult run_point(const core::ParallelAdvisor& advisor, std::size_t shards,
   result.dup_rate = dup_rate;
   result.cache_cap = cache_entries;
   result.requests = requests;
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> ok{0}, shed{0}, errors{0}, lost{0}, cached{0};
-  std::atomic<std::size_t> bad{0};
-  std::mutex collect_mu;  // guards latencies + verdict map
-  std::vector<double> latencies;
-  latencies.reserve(requests);
   // The duplicate decision is a pure function of the request index, so the
   // cache-on and cache-off runs of a mix replay the identical multiset of
   // snippets regardless of how threads interleave.
   const auto dup_cut = static_cast<std::size_t>(dup_rate * 100.0);
-  const auto t0 = Clock::now();
-  std::vector<std::thread> clients;
-  clients.reserve(concurrency);
-  for (std::size_t c = 0; c < concurrency; ++c) {
-    clients.emplace_back([&, c] {
-      int fd = connect_loopback(port);
-      for (;;) {
-        const std::size_t r = next.fetch_add(1);
-        if (r >= requests) break;
-        if (fd < 0) fd = connect_loopback(port);
-        if (fd < 0) {
-          ++lost;
-          continue;
-        }
-        const std::string code = (r % 100) < dup_cut
-                                     ? hot_snippet(r % hot_set)
-                                     : distinct_snippet(r);
-        Json request = Json::object();
-        request["id"] = static_cast<std::int64_t>(r + 1);
-        request["code"] = code;
-        request["client"] = "scale-" + std::to_string(c);
-        shard::Frame frame;
-        frame.payload = request.dump();
-        const auto s0 = Clock::now();
-        if (!shard::write_frame_fd(fd, frame)) {
-          ++lost;
-          ::close(fd);
-          fd = -1;
-          continue;
-        }
-        shard::Frame reply;
-        std::string error;
-        if (shard::read_frame_fd(fd, &reply, &error) !=
-            shard::ReadStatus::kFrame) {
-          ++lost;
-          ::close(fd);
-          fd = -1;
-          continue;
-        }
-        try {
-          const Json body = Json::parse(reply.payload);
-          if (body.contains("error")) {
-            if (body.get_string("error", "") == "overloaded")
-              ++shed;
-            else
-              ++errors;
-            continue;
-          }
-          ++ok;
-          if (body.get_bool("cached", false)) ++cached;
-          const double us =
-              std::chrono::duration<double, std::micro>(Clock::now() - s0)
-                  .count();
-          const std::string verdict = shard::normalized_verdict(body).dump();
-          std::lock_guard lock(collect_mu);
-          latencies.push_back(us);
-          const auto [it, inserted] = verdict_of->emplace(code, verdict);
-          if (!inserted && it->second != verdict) ++bad;
-        } catch (const std::exception&) {
-          ++errors;
-        }
-      }
-      if (fd >= 0) ::close(fd);
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  result.seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  *mismatches += bad.load();
+  result.run = shard::run_closed_loop(
+      {.port = port,
+       .requests = requests,
+       .concurrency = concurrency,
+       .client_prefix = "scale-",
+       .code_of =
+           [&](std::size_t r) {
+             return (r % 100) < dup_cut ? hot_snippet(r % hot_set)
+                                        : distinct_snippet(r);
+           }},
+      *verdict_of);
+  *mismatches += result.run.mismatches;
 
-  // Server-side stats (per-shard served counts, front-cache hit/miss) over
-  // one extra connection, then stop the front end.
-  const int fd = connect_loopback(port);
-  if (fd >= 0) {
-    Json request = Json::object();
-    request["cmd"] = "stats";
-    shard::Frame frame;
-    frame.payload = request.dump();
-    shard::Frame reply;
-    std::string error;
-    if (shard::write_frame_fd(fd, frame) &&
-        shard::read_frame_fd(fd, &reply, &error) == shard::ReadStatus::kFrame) {
-      try {
-        result.server = Json::parse(reply.payload).at("stats");
-      } catch (const std::exception&) {
-      }
-    }
-    ::close(fd);
-  }
+  // Server-side stats (per-shard served counts, front-cache hit/miss), then
+  // stop the front end.
+  Json stats = shard::fetch_stats(port);
+  if (!stats.is_null()) result.server = std::move(stats);
   ::kill(pid, SIGTERM);
   int status = 0;
   ::waitpid(pid, &status, 0);
 
-  result.ok = ok.load();
-  result.shed = shed.load();
-  result.errors = errors.load();
-  result.lost = lost.load();
-  result.cached = cached.load();
   result.throughput_rps =
-      result.seconds > 0.0
-          ? static_cast<double>(result.requests) / result.seconds
+      result.run.seconds > 0.0
+          ? static_cast<double>(result.requests) / result.run.seconds
           : 0.0;
-  std::sort(latencies.begin(), latencies.end());
-  result.p50_us = percentile(latencies, 0.50);
-  result.p95_us = percentile(latencies, 0.95);
-  result.p99_us = percentile(latencies, 0.99);
   std::fprintf(stderr,
                "point: shards=%zu dup=%.0f%% cache=%zu -> %.1f req/s "
                "(p50 %.0f us, p99 %.0f us, %zu cached, %zu lost)\n",
                shards, dup_rate * 100.0, cache_entries, result.throughput_rps,
-               result.p50_us, result.p99_us, result.cached, result.lost);
+               shard::percentile(result.run.latencies_us, 0.50),
+               shard::percentile(result.run.latencies_us, 0.99),
+               result.run.cached, result.run.lost);
   return result;
 }
 
 Json point_json(const PointResult& point) {
+  const shard::ClosedLoopResult& run = point.run;
   Json row = Json::object();
   row["shards"] = static_cast<std::int64_t>(point.shards);
   row["dup_rate"] = point.dup_rate;
   row["cache_cap"] = static_cast<std::int64_t>(point.cache_cap);
   row["requests"] = static_cast<std::int64_t>(point.requests);
-  row["ok"] = static_cast<std::int64_t>(point.ok);
-  row["shed"] = static_cast<std::int64_t>(point.shed);
-  row["errors"] = static_cast<std::int64_t>(point.errors);
-  row["lost"] = static_cast<std::int64_t>(point.lost);
-  row["cached_responses"] = static_cast<std::int64_t>(point.cached);
-  row["seconds"] = point.seconds;
+  row["ok"] = static_cast<std::int64_t>(run.ok);
+  row["shed"] = static_cast<std::int64_t>(run.shed);
+  row["errors"] = static_cast<std::int64_t>(run.errors);
+  row["lost"] = static_cast<std::int64_t>(run.lost);
+  row["cached_responses"] = static_cast<std::int64_t>(run.cached);
+  row["seconds"] = run.seconds;
   row["throughput_rps"] = point.throughput_rps;
   Json latency = Json::object();
-  latency["p50"] = point.p50_us;
-  latency["p95"] = point.p95_us;
-  latency["p99"] = point.p99_us;
+  latency["p50"] = shard::percentile(run.latencies_us, 0.50);
+  latency["p95"] = shard::percentile(run.latencies_us, 0.95);
+  latency["p99"] = shard::percentile(run.latencies_us, 0.99);
   row["latency_us"] = std::move(latency);
   row["server"] = point.server;
   return row;
@@ -478,12 +336,12 @@ int main(int argc, char** argv) {
                                            dup_off.throughput_rps
                                      : 0.0;
     const double hit_rate =
-        dup_on.ok > 0
-            ? static_cast<double>(dup_on.cached) /
-                  static_cast<double>(dup_on.ok)
+        dup_on.run.ok > 0
+            ? static_cast<double>(dup_on.run.cached) /
+                  static_cast<double>(dup_on.run.ok)
             : 0.0;
-    std::size_t lost_total = dup_on.lost + dup_off.lost;
-    for (const PointResult& point : series) lost_total += point.lost;
+    std::size_t lost_total = dup_on.run.lost + dup_off.run.lost;
+    for (const PointResult& point : series) lost_total += point.run.lost;
 
     Json report = Json::object();
     report["schema"] = "clpp.shard_scaling.v1";
@@ -513,7 +371,7 @@ int main(int argc, char** argv) {
     cache_win["speedup"] = cache_speedup;
     cache_win["hit_rate"] = hit_rate;
     cache_win["cached_responses"] =
-        static_cast<std::int64_t>(dup_on.cached);
+        static_cast<std::int64_t>(dup_on.run.cached);
     report["cache_win"] = std::move(cache_win);
     report["lost"] = static_cast<std::int64_t>(lost_total);
     report["verdicts_identical"] = mismatches == 0;

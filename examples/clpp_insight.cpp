@@ -31,8 +31,6 @@
 #include "support/cli.h"
 #include "support/error.h"
 #include "support/json.h"
-#include "tokenize/representation.h"
-#include "tokenize/vocabulary.h"
 
 namespace {
 
@@ -65,25 +63,13 @@ std::vector<std::pair<std::string, std::string>> load_kernels(
 /// the calibration/drift plumbing is exercised end to end).
 core::ParallelAdvisor random_advisor(
     const std::vector<std::pair<std::string, std::string>>& files) {
-  std::vector<std::vector<std::string>> documents;
-  for (const auto& [name, code] : files)
-    documents.push_back(tokenize::tokenize(code, tokenize::Representation::kText));
-  tokenize::Vocabulary vocab = tokenize::Vocabulary::build(documents);
-
+  std::vector<std::string> snippets;
+  for (const auto& [name, code] : files) snippets.push_back(code);
   core::PipelineConfig defaults;
   core::PragFormerConfig config;
   config.encoder = defaults.encoder;
-  config.encoder.vocab_size = vocab.size();
-  Rng rng(2023);
-  auto directive = std::make_unique<core::PragFormer>(config, rng);
-  auto private_model = std::make_unique<core::PragFormer>(config, rng);
-  auto reduction = std::make_unique<core::PragFormer>(config, rng);
-  auto schedule = std::make_unique<core::PragFormer>(config, rng);
-  core::ParallelAdvisor advisor(std::move(directive), std::move(private_model),
-                                std::move(reduction), std::move(vocab),
-                                tokenize::Representation::kText, defaults.max_len);
-  advisor.set_schedule_model(std::move(schedule));
-  return advisor;
+  return core::ParallelAdvisor::untrained(snippets, config, defaults.max_len,
+                                          2023);
 }
 
 /// Training-corpus fingerprint for advisors that lack one (random weights,

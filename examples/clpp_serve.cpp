@@ -50,37 +50,27 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <deque>
-#include <future>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <csignal>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "cache/cache.h"
 #include "core/advisor.h"
 #include "insight/drift.h"
 #include "serve/server.h"
-#include "shard/frame.h"
+#include "shard/client.h"
 #include "shard/listener.h"
 #include "shard/supervisor.h"
 #include "shard/worker.h"
 #include "support/cli.h"
 #include "support/json.h"
-#include "tokenize/representation.h"
-#include "tokenize/vocabulary.h"
 
 namespace {
 
@@ -120,24 +110,11 @@ const std::vector<std::string>& drifted_mix() {
 /// Untrained advisor on the default encoder shape: lets the binary run (and
 /// the load generator measure batching) without a training run first.
 core::ParallelAdvisor random_advisor() {
-  std::vector<std::vector<std::string>> documents;
-  for (const std::string& code : demo_mix())
-    documents.push_back(tokenize::tokenize(code, tokenize::Representation::kText));
-  tokenize::Vocabulary vocab = tokenize::Vocabulary::build(documents);
-
   core::PipelineConfig defaults;
   core::PragFormerConfig config;
   config.encoder = defaults.encoder;
-  config.encoder.vocab_size = vocab.size();
-  Rng rng(2023);
-  auto directive = std::make_unique<core::PragFormer>(config, rng);
-  auto private_model = std::make_unique<core::PragFormer>(config, rng);
-  auto reduction = std::make_unique<core::PragFormer>(config, rng);
-  auto schedule = std::make_unique<core::PragFormer>(config, rng);
-  core::ParallelAdvisor advisor(std::move(directive), std::move(private_model),
-                                std::move(reduction), std::move(vocab),
-                                tokenize::Representation::kText, defaults.max_len);
-  advisor.set_schedule_model(std::move(schedule));
+  core::ParallelAdvisor advisor = core::ParallelAdvisor::untrained(
+      demo_mix(), config, defaults.max_len, 2023);
   // Fingerprint the demo mix as the "training corpus" so drift detection is
   // armed even without a real training run: serving demo_mix() scores ~0,
   // serving --drift traffic trips the SLO budget.
@@ -147,29 +124,18 @@ core::ParallelAdvisor random_advisor() {
   return advisor;
 }
 
-/// One in-flight request of the JSON-lines loop: the submission id plus the
-/// future the writer thread will resolve. `error` carries the message when
-/// the line failed before reaching the server; `preformatted` carries the
-/// ready-to-print reply of an admin verb (e.g. {"cmd":"stats"}), which
-/// still flows through the writer so output order matches input order.
-struct Pending {
-  std::int64_t id = -1;
-  std::future<serve::ServedAdvice> future;
-  std::string error;
-  std::string preformatted;
-};
-
 int run_jsonl(serve::InferenceServer& server) {
   std::mutex mu;
   std::condition_variable ready;
-  std::deque<Pending> inflight;
+  std::deque<shard::PendingReply> inflight;
   bool done = false;
 
-  // Writer: resolves futures in submission order, so output order matches
-  // input order and a pipe full of requests still gets micro-batched.
+  // Writer: resolves replies in submission order, so output order matches
+  // input order (admin verbs and errors included) and a pipe full of
+  // requests still gets micro-batched.
   std::thread writer([&] {
     for (;;) {
-      Pending next;
+      shard::PendingReply next;
       {
         std::unique_lock lock(mu);
         ready.wait(lock, [&] { return !inflight.empty() || done; });
@@ -177,18 +143,7 @@ int run_jsonl(serve::InferenceServer& server) {
         next = std::move(inflight.front());
         inflight.pop_front();
       }
-      std::string line;
-      if (!next.preformatted.empty()) {
-        line = std::move(next.preformatted);
-      } else if (!next.error.empty()) {
-        line = shard::error_json(next.id, next.error).dump();
-      } else {
-        try {
-          line = shard::response_json(next.id, next.future.get()).dump();
-        } catch (const std::exception& e) {
-          line = shard::error_json(next.id, e.what()).dump();
-        }
-      }
+      const std::string line = shard::resolve_reply(next);
       std::fputs(line.c_str(), stdout);
       std::fputc('\n', stdout);
       std::fflush(stdout);
@@ -200,33 +155,8 @@ int run_jsonl(serve::InferenceServer& server) {
   while (std::getline(std::cin, line)) {
     ++line_number;
     if (line.empty()) continue;
-    Pending pending;
-    pending.id = line_number;
-    try {
-      const Json request = Json::parse(line);
-      pending.id = request.get_int("id", line_number);
-      if (request.contains("cmd")) {
-        const std::string cmd = request.at("cmd").as_string();
-        if (cmd == "stats") {
-          Json reply = Json::object();
-          reply["id"] = pending.id;
-          reply["stats"] = server.stats_json();
-          pending.preformatted = reply.dump();
-        } else if (cmd == "quality") {
-          Json reply = Json::object();
-          reply["id"] = pending.id;
-          reply["quality"] = server.quality_json();
-          pending.preformatted = reply.dump();
-        } else {
-          pending.error = "unknown cmd: " + cmd;
-        }
-      } else {
-        const std::string code = request.at("code").as_string();
-        pending.future = server.submit(code);
-      }
-    } catch (const std::exception& e) {
-      pending.error = e.what();
-    }
+    shard::PendingReply pending =
+        shard::dispatch_request(server, line, line_number, 0);
     {
       std::lock_guard lock(mu);
       inflight.push_back(std::move(pending));
@@ -253,20 +183,14 @@ int run_jsonl(serve::InferenceServer& server) {
   return 0;
 }
 
-double percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(p * static_cast<double>(sorted.size() - 1));
-  return sorted[rank];
-}
-
 /// Prints the client-side summary line and returns it as the "client" block
 /// of the --stats-out artifact.
 Json report_loadgen(const char* label, std::size_t total, double seconds,
                     std::vector<double> latencies_us) {
   std::sort(latencies_us.begin(), latencies_us.end());
-  const double p50 = percentile(latencies_us, 0.50);
-  const double p95 = percentile(latencies_us, 0.95);
-  const double p99 = percentile(latencies_us, 0.99);
+  const double p50 = shard::percentile(latencies_us, 0.50);
+  const double p95 = shard::percentile(latencies_us, 0.95);
+  const double p99 = shard::percentile(latencies_us, 0.99);
   std::fprintf(stderr,
                "%s: %zu requests in %.3f s -> %.1f req/s "
                "(latency p50 %.0f us, p95 %.0f us, p99 %.0f us)\n",
@@ -414,153 +338,51 @@ int run_listen(const core::ParallelAdvisor& advisor,
   return 0;
 }
 
-int connect_loopback(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof addr);
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-/// Closed-loop socket load generator against a --listen front end: each
-/// client keeps one framed request in flight on its own keep-alive
-/// connection. A connection that breaks mid-request (it never should — the
-/// client talks to the supervisor, which survives shard crashes) is
-/// reconnected and the unanswered request counts as `lost`; check_shard.sh
-/// gates lost == 0 while killing a shard mid-run.
+/// Closed-loop socket load generator against a --listen front end
+/// (shard::run_closed_loop). A connection that breaks mid-request (it never
+/// should — the client talks to the supervisor, which survives shard
+/// crashes) counts the unanswered request as `lost`; check_shard.sh gates
+/// lost == 0 while killing a shard mid-run.
 int run_socket_loadgen(std::uint16_t port, std::size_t total,
                        std::size_t concurrency, std::uint32_t deadline_ms,
                        bool drift, const std::string& stats_out) {
   const auto& mix = drift ? drifted_mix() : demo_mix();
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> ok{0}, shed{0}, errors{0}, lost{0};
-  std::atomic<std::size_t> cached{0}, mismatches{0};
-  std::mutex verdict_mu;
-  std::map<std::size_t, std::string> verdict_of;  // mix index -> projection
-  std::mutex lat_mu;
-  std::vector<double> latencies;
-  latencies.reserve(total);
-  const auto t0 = Clock::now();
-  std::vector<std::thread> clients;
-  clients.reserve(concurrency);
-  for (std::size_t c = 0; c < concurrency; ++c) {
-    clients.emplace_back([&, c] {
-      int fd = connect_loopback(port);
-      for (;;) {
-        const std::size_t r = next.fetch_add(1);
-        if (r >= total) break;
-        if (fd < 0) fd = connect_loopback(port);
-        if (fd < 0) {
-          ++lost;
-          continue;
-        }
-        Json request = Json::object();
-        request["id"] = static_cast<std::int64_t>(r + 1);
-        request["code"] = mix[r % mix.size()];
-        request["client"] = "loadgen-" + std::to_string(c);
-        shard::Frame frame;
-        frame.payload = request.dump();
-        frame.deadline_ms = deadline_ms;
-        const auto s0 = Clock::now();
-        if (!shard::write_frame_fd(fd, frame)) {
-          ++lost;
-          ::close(fd);
-          fd = -1;
-          continue;
-        }
-        shard::Frame reply;
-        std::string error;
-        if (shard::read_frame_fd(fd, &reply, &error) != shard::ReadStatus::kFrame) {
-          ++lost;
-          ::close(fd);
-          fd = -1;
-          continue;
-        }
-        try {
-          const Json body = Json::parse(reply.payload);
-          if (body.contains("error")) {
-            if (body.get_string("error", "") == "overloaded")
-              ++shed;
-            else
-              ++errors;
-          } else {
-            ++ok;
-            if (body.get_bool("cached", false)) ++cached;
-            // Every serving of one snippet — fresh, coalesced, replayed
-            // after a crash, or cached — must carry bitwise-identical
-            // verdict fields; any drift is a correctness bug, not noise.
-            const std::string verdict =
-                shard::normalized_verdict(body).dump();
-            {
-              std::lock_guard lock(verdict_mu);
-              const auto [it, inserted] =
-                  verdict_of.emplace(r % mix.size(), verdict);
-              if (!inserted && it->second != verdict) ++mismatches;
-            }
-            const double us = std::chrono::duration<double, std::micro>(
-                                  Clock::now() - s0)
-                                  .count();
-            std::lock_guard lock(lat_mu);
-            latencies.push_back(us);
-          }
-        } catch (const std::exception&) {
-          ++errors;
-        }
-      }
-      if (fd >= 0) ::close(fd);
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  std::map<std::string, std::string> verdict_of;
+  shard::ClosedLoopResult run = shard::run_closed_loop(
+      {.port = port,
+       .requests = total,
+       .concurrency = concurrency,
+       .deadline_ms = deadline_ms,
+       .client_prefix = "loadgen-",
+       .code_of = [&](std::size_t r) { return mix[r % mix.size()]; }},
+      verdict_of);
 
   Json report = Json::object();
   report["schema"] = "clpp.shard_loadgen.v1";
   report["requests"] = static_cast<std::int64_t>(total);
-  report["ok"] = static_cast<std::int64_t>(ok.load());
-  report["shed"] = static_cast<std::int64_t>(shed.load());
-  report["errors"] = static_cast<std::int64_t>(errors.load());
-  report["lost"] = static_cast<std::int64_t>(lost.load());
-  report["cached_responses"] = static_cast<std::int64_t>(cached.load());
-  report["verdict_mismatches"] = static_cast<std::int64_t>(mismatches.load());
-  report["seconds"] = seconds;
-  report["throughput_rps"] = static_cast<double>(total) / seconds;
-  report["client"] =
-      report_loadgen("socket", total, seconds, std::move(latencies));
+  report["ok"] = static_cast<std::int64_t>(run.ok);
+  report["shed"] = static_cast<std::int64_t>(run.shed);
+  report["errors"] = static_cast<std::int64_t>(run.errors);
+  report["lost"] = static_cast<std::int64_t>(run.lost);
+  report["cached_responses"] = static_cast<std::int64_t>(run.cached);
+  report["verdict_mismatches"] = static_cast<std::int64_t>(run.mismatches);
+  report["seconds"] = run.seconds;
+  report["throughput_rps"] = static_cast<double>(total) / run.seconds;
+  report["client"] = report_loadgen("socket", total, run.seconds,
+                                    std::move(run.latencies_us));
 
-  // One more connection for the supervisor-level stats block (per-shard
-  // liveness, restarts, admission counters) so the artifact is self-
-  // contained for check_shard.sh.
-  const int fd = connect_loopback(port);
-  if (fd >= 0) {
-    Json request = Json::object();
-    request["cmd"] = "stats";
-    shard::Frame frame;
-    frame.payload = request.dump();
-    shard::Frame reply;
-    std::string error;
-    if (shard::write_frame_fd(fd, frame) &&
-        shard::read_frame_fd(fd, &reply, &error) == shard::ReadStatus::kFrame) {
-      try {
-        report["server"] = Json::parse(reply.payload).at("stats");
-      } catch (const std::exception&) {
-      }
-    }
-    ::close(fd);
-  }
+  // The supervisor-level stats block (per-shard liveness, restarts,
+  // admission counters) makes the artifact self-contained for
+  // check_shard.sh.
+  Json server = shard::fetch_stats(port);
+  if (!server.is_null()) report["server"] = std::move(server);
   std::fprintf(stderr,
                "socket loadgen: %zu ok (%zu cached), %zu shed, %zu errors, "
                "%zu lost, %zu verdict mismatches\n",
-               ok.load(), cached.load(), shed.load(), errors.load(),
-               lost.load(), mismatches.load());
+               run.ok, run.cached, run.shed, run.errors, run.lost,
+               run.mismatches);
   if (!stats_out.empty()) write_stats_artifact(stats_out, report);
-  return lost.load() == 0 && mismatches.load() == 0 ? 0 : 1;
+  return run.lost == 0 && run.mismatches == 0 ? 0 : 1;
 }
 
 }  // namespace

@@ -60,6 +60,33 @@ cmake --build "$BUILD_DIR" -j --target clpp-serve clpp-report >/dev/null
 rm -rf "$OUT_DIR"
 mkdir -p "$OUT_DIR/flights"
 
+# Batch isolation (DESIGN.md §9): an unparseable request fails alone, not
+# the valid requests batched with it. Three lines arrive in one 200 ms batch
+# window; the middle one holds '@', which starts no C token.
+echo "== batch isolation: one unparseable request among three in one batch =="
+ISO="$OUT_DIR/batch_isolation.jsonl"
+ISO_RC=0
+printf '%s\n' \
+  '{"id":1,"code":"for (i = 0; i < n; i++) a[i] = b[i];"}' \
+  '{"id":2,"code":"for (i = 0; i < n; i++) a[i] = b[i] @ 2;"}' \
+  '{"id":3,"code":"for (i = 0; i < n; i++) c[i] = a[i] + b[i];"}' \
+  | "$BUILD_DIR/examples/clpp-serve" --random-model --max-delay-us 200000 \
+  > "$ISO" || ISO_RC=$?
+# verdict_line <line> <id>: that line answers request <id> with a verdict.
+verdict_line() {
+  sed -n "$1p" "$ISO" | grep -v '"error"' | grep "\"id\":$2," \
+    | grep -q '"p_directive"'
+}
+if [ "$ISO_RC" -ne 0 ] || [ "$(wc -l < "$ISO")" -ne 3 ] \
+  || [ "$(grep -c '"error"' "$ISO")" -ne 1 ] \
+  || ! sed -n 2p "$ISO" | grep -q '^{"error":.*"id":2}$' \
+  || ! verdict_line 1 1 || ! verdict_line 3 3; then
+  echo "check_shard: an unparseable request failed its batchmates (exit $ISO_RC):" >&2
+  cat "$ISO" >&2
+  exit 1
+fi
+echo "check_shard: batch isolation: only request 2 failed"
+
 # run_pass <label> <fault-plan> <stats-file> <verdict-file> [server args...]
 # Starts the front end under the fault plan, drives the loadgen, stops the
 # server, and asserts zero loss + deaths > 0 + the shard budget block.

@@ -377,4 +377,26 @@ ParallelAdvisor ParallelAdvisor::train(PipelineConfig config) {
   return advisor;
 }
 
+ParallelAdvisor ParallelAdvisor::untrained(const std::vector<std::string>& snippets,
+                                           PragFormerConfig config,
+                                           std::size_t max_len, std::uint64_t seed) {
+  std::vector<std::vector<std::string>> documents;
+  documents.reserve(snippets.size());
+  for (const std::string& code : snippets)
+    documents.push_back(tokenize::tokenize(code, tokenize::Representation::kText));
+  tokenize::Vocabulary vocab = tokenize::Vocabulary::build(documents);
+  config.encoder.vocab_size = vocab.size();
+  // One statement per model: the draw order from `rng` fixes the weights.
+  Rng rng(seed);
+  auto directive = std::make_unique<PragFormer>(config, rng);
+  auto private_model = std::make_unique<PragFormer>(config, rng);
+  auto reduction = std::make_unique<PragFormer>(config, rng);
+  auto schedule = std::make_unique<PragFormer>(config, rng);
+  ParallelAdvisor advisor(std::move(directive), std::move(private_model),
+                          std::move(reduction), std::move(vocab),
+                          tokenize::Representation::kText, max_len);
+  advisor.set_schedule_model(std::move(schedule));
+  return advisor;
+}
+
 }  // namespace clpp::core

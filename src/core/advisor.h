@@ -120,6 +120,15 @@ class ParallelAdvisor {
   /// schedule models) from a fresh pipeline.
   static ParallelAdvisor train(PipelineConfig config);
 
+  /// Untrained advisor: Text representation, vocabulary built from
+  /// `snippets`, and all four models drawn from one `Rng(seed)` in the order
+  /// directive, private, reduction, schedule. `config.encoder.vocab_size` is
+  /// set from the vocabulary. Serving, sharding and telemetry do not depend
+  /// on the weights, so demos, benches and tests use this to skip training.
+  static ParallelAdvisor untrained(const std::vector<std::string>& snippets,
+                                   PragFormerConfig config, std::size_t max_len,
+                                   std::uint64_t seed);
+
   /// Persists the advisor (all models, vocabulary, representation) to one
   /// binary file; `load` restores an identical advisor.
   void save(const std::string& path) const;

@@ -17,47 +17,4 @@ std::string dfs_lines(const Node& root) {
   return os.str();
 }
 
-std::vector<std::string> dfs_tokens(const Node& root) {
-  std::vector<std::string> tokens;
-  walk(root, [&](const Node& node, int) {
-    switch (node.kind) {
-      case NodeKind::kTranslationUnit:
-        return;
-      case NodeKind::kID:
-        tokens.push_back("ID:");
-        tokens.push_back(node.text);
-        return;
-      case NodeKind::kConstant:
-        tokens.push_back("Constant:");
-        tokens.push_back(node.aux);
-        tokens.push_back(node.text);
-        return;
-      case NodeKind::kAssignment:
-      case NodeKind::kBinaryOp:
-      case NodeKind::kUnaryOp:
-      case NodeKind::kStructRef:
-        tokens.push_back(node_kind_name(node.kind) + ":");
-        tokens.push_back(node.text);
-        return;
-      case NodeKind::kDecl:
-        tokens.push_back("Decl:");
-        tokens.push_back(node.text);
-        tokens.push_back(node.aux);
-        return;
-      case NodeKind::kFuncDef:
-        tokens.push_back("FuncDef:");
-        tokens.push_back(node.text);
-        return;
-      case NodeKind::kCast:
-        tokens.push_back("Cast:");
-        tokens.push_back(node.text);
-        return;
-      default:
-        tokens.push_back(node_kind_name(node.kind) + ":");
-        return;
-    }
-  });
-  return tokens;
-}
-
 }  // namespace clpp::frontend

@@ -2,13 +2,13 @@
 //
 // The paper linearizes pycparser ASTs by a depth-first traversal, one node
 // label per line ("For:", "Assignment: =", "ID: i", "Constant: int, 0").
-// `dfs_lines` reproduces the indented textual form; `dfs_tokens` yields the
-// token stream fed to the model's tokenizer (each label split into its
-// constituent symbols, e.g. "Assignment:" "=" and "Constant:" "int" "0").
+// `dfs_lines` reproduces the indented textual form. The model's AST token
+// stream, each label split into its symbols ("Assignment:" "=",
+// "Constant:" "int" "0"), is `tokenize::tokenize` with an AST
+// representation.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "frontend/ast.h"
 
@@ -16,8 +16,5 @@ namespace clpp::frontend {
 
 /// Indented one-node-per-line rendering (Table 2 of the paper).
 std::string dfs_lines(const Node& root);
-
-/// Flat token sequence for model ingestion (AST representation of §4.2).
-std::vector<std::string> dfs_tokens(const Node& root);
 
 }  // namespace clpp::frontend

@@ -151,141 +151,164 @@ void InferenceServer::worker_loop(core::ParallelAdvisor& advisor) {
 void InferenceServer::serve_batch(core::ParallelAdvisor& advisor,
                                   std::vector<PendingRequest>& batch) {
   CLPP_TRACE_SPAN_ARG("serve.batch", batch.size());
-  const std::uint64_t start_ns = obs::Tracer::now_ns();
   obs::flight_record("serve.batch", static_cast<std::int64_t>(batch.size()),
                      static_cast<std::int64_t>(queue_.depth()));
   try {
     resil::fault_point("serve.batch");
-    std::vector<std::string> codes;
-    codes.reserve(batch.size());
-    for (const PendingRequest& request : batch) codes.push_back(request.code);
-    core::BatchTiming timing;
-    std::vector<core::Advice> advices =
-        advisor.advise_batch(codes, config_.options, &timing);
-    const std::uint64_t coalesced = timing.coalesced;
-
-    const std::uint64_t end_ns = obs::Tracer::now_ns();
-    const std::uint64_t batch_us = (end_ns - start_ns) / 1000;
-    const std::uint64_t infer_us = timing.infer_ns() / 1000;
-
-    // Always-on server-owned telemetry (record_always — independent of the
-    // CLPP_OBS gate), feeding stats_json()'s streaming percentiles.
-    batch_size_.record_always(static_cast<double>(batch.size()));
-    infer_us_.record_always(static_cast<double>(timing.infer_ns()) / 1e3);
-    directive_us_.record_always(static_cast<double>(timing.directive_ns) / 1e3);
-    private_us_.record_always(static_cast<double>(timing.private_ns) / 1e3);
-    reduction_us_.record_always(static_cast<double>(timing.reduction_ns) / 1e3);
-    schedule_us_.record_always(static_cast<double>(timing.schedule_ns) / 1e3);
-    for (const PendingRequest& request : batch) {
-      queue_wait_us_.record_always(
-          static_cast<double>(start_ns - request.enqueue_ns) / 1e3);
-      latency_us_.record_always(
-          static_cast<double>(end_ns - request.enqueue_ns) / 1e3);
-    }
-
-    if (obs::enabled()) {
-      static obs::Histogram& batch_hist =
-          obs::metrics().histogram("clpp.serve.batch_size", batch_size_bounds());
-      static obs::Histogram& wait_hist =
-          obs::metrics().histogram("clpp.serve.queue_wait_us");
-      static obs::Histogram& latency_hist =
-          obs::metrics().histogram("clpp.serve.latency_us");
-      batch_hist.record(static_cast<double>(batch.size()));
-      obs::Tracer& tracer = obs::Tracer::instance();
-      for (const PendingRequest& request : batch) {
-        wait_hist.record(static_cast<double>(start_ns - request.enqueue_ns) / 1e3);
-        latency_hist.record(static_cast<double>(end_ns - request.enqueue_ns) / 1e3);
-        // Continue + terminate each request's flow lane on the worker
-        // thread: the queue-wait span (enqueue → collection) steps the
-        // flow, the infer span (collection → verdict) ends it. Perfetto
-        // then draws one connected arrow chain per request across the
-        // client and worker tracks.
-        tracer.record("serve.queue_wait", request.enqueue_ns, start_ns,
-                      obs::kNoArg, request.trace.trace_id,
-                      obs::FlowPhase::kStep);
-        tracer.record("serve.infer", start_ns, end_ns, obs::kNoArg,
-                      request.trace.trace_id, obs::FlowPhase::kEnd);
+    answer_batch(advisor, batch);
+  } catch (const ParseError&) {
+    // advise_batch tokenizes every snippet before its first forward pass,
+    // so one unparseable snippet throws for all of its batchmates. Answer
+    // each request alone instead: only those that fail on their own fail,
+    // and a batch-of-one verdict is bitwise equal to the batched one.
+    for (PendingRequest& request : batch) {
+      std::vector<PendingRequest> one;
+      one.push_back(std::move(request));
+      try {
+        answer_batch(advisor, one);
+      } catch (...) {
+        fail_batch(one, std::current_exception());
       }
-      obs::metrics().counter("clpp.serve.batches").add(1);
-      if (coalesced > 0)
-        obs::metrics().counter("clpp.serve.coalesced").add(coalesced);
-    }
-    // Model-quality telemetry: every request position (coalesced duplicates
-    // included — quality is a property of the traffic, not of distinct
-    // snippets). The dangerous direction — model advises parallelizing a
-    // loop the engine proved dependent — is flight-recorded with the
-    // request's trace id so a dump shows which request tripped it.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      insight::VerdictSample sample;
-      sample.p_directive = advices[i].p_directive;
-      sample.p_private = advices[i].p_private;
-      sample.p_reduction = advices[i].p_reduction;
-      sample.p_dynamic = advices[i].p_dynamic;
-      sample.positive = advices[i].needs_directive;
-      sample.clauses_scored = advices[i].needs_directive;
-      sample.proof = advices[i].proof;
-      const insight::DisagreementKind kind =
-          insight_.observe(batch[i].code, sample);
-      if (kind == insight::DisagreementKind::kModelParallelProofDependent)
-        obs::flight_record("insight.disagree",
-                           static_cast<std::int64_t>(batch[i].trace.trace_id));
-    }
-
-    // Populate the result cache before the promises resolve: a client that
-    // immediately re-sends the snippet it was just answered must hit. One
-    // insert per *distinct* snippet (coalesced rows share their twin's
-    // entry); duplicate inserts across racing workers refresh in place.
-    if (config_.cache.enabled()) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (timing.coalesced_of[i] != 0) continue;
-        const std::size_t bytes = sizeof(core::Advice) +
-                                  advices[i].suggestion.size() +
-                                  advices[i].compar_suggestion.size();
-        result_cache_.put(cache::snippet_digest(batch[i].code), advices[i],
-                          bytes);
-      }
-    }
-
-    // Counters first, promises second: a caller woken by its future must
-    // already see this batch reflected in stats().
-    completed_.fetch_add(batch.size(), std::memory_order_relaxed);
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batch_rows_.fetch_add(batch.size(), std::memory_order_relaxed);
-    coalesced_.fetch_add(coalesced, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ServedAdvice served;
-      served.advice = std::move(advices[i]);
-      served.timing.trace_id = batch[i].trace.trace_id;
-      served.timing.queue_us = (start_ns - batch[i].enqueue_ns) / 1000;
-      served.timing.batch_us = batch_us;
-      served.timing.infer_us = infer_us;
-      served.timing.coalesced = timing.coalesced_of[i] != 0;
-      batch[i].result.set_value(std::move(served));
     }
   } catch (...) {
-    // A failing inference pass (injected fault, OOM, hostile input) fails
-    // exactly the requests of this batch; the worker and every other
-    // request keep going.
-    const std::exception_ptr error = std::current_exception();
-    obs::flight_record("serve.batch_fail",
-                       static_cast<std::int64_t>(batch.size()));
-    failed_.fetch_add(batch.size(), std::memory_order_relaxed);
-    for (PendingRequest& request : batch) request.result.set_exception(error);
-    if (obs::enabled())
-      obs::metrics().counter("clpp.serve.batch_failures").add(1);
-    if (obs::log_enabled(obs::LogLevel::kWarn)) {
-      Json fields = Json::object();
-      fields["requests"] = static_cast<std::int64_t>(batch.size());
-      try {
-        std::rethrow_exception(error);
-      } catch (const std::exception& e) {
-        fields["error"] = std::string(e.what());
-      } catch (...) {
-        fields["error"] = std::string("unknown exception");
-      }
-      obs::log_warn("serve", "batch failed; futures carry the error",
-                    std::move(fields));
+    // Any other failure (an injected fault, OOM) fails exactly the
+    // requests of this batch; the worker and every other request keep
+    // going.
+    fail_batch(batch, std::current_exception());
+  }
+}
+
+void InferenceServer::answer_batch(core::ParallelAdvisor& advisor,
+                                   std::vector<PendingRequest>& batch) {
+  const std::uint64_t start_ns = obs::Tracer::now_ns();
+  std::vector<std::string> codes;
+  codes.reserve(batch.size());
+  for (const PendingRequest& request : batch) codes.push_back(request.code);
+  core::BatchTiming timing;
+  std::vector<core::Advice> advices =
+      advisor.advise_batch(codes, config_.options, &timing);
+  const std::uint64_t coalesced = timing.coalesced;
+
+  const std::uint64_t end_ns = obs::Tracer::now_ns();
+  const std::uint64_t batch_us = (end_ns - start_ns) / 1000;
+  const std::uint64_t infer_us = timing.infer_ns() / 1000;
+
+  // Always-on server-owned telemetry (record_always — independent of the
+  // CLPP_OBS gate), feeding stats_json()'s streaming percentiles.
+  batch_size_.record_always(static_cast<double>(batch.size()));
+  infer_us_.record_always(static_cast<double>(timing.infer_ns()) / 1e3);
+  directive_us_.record_always(static_cast<double>(timing.directive_ns) / 1e3);
+  private_us_.record_always(static_cast<double>(timing.private_ns) / 1e3);
+  reduction_us_.record_always(static_cast<double>(timing.reduction_ns) / 1e3);
+  schedule_us_.record_always(static_cast<double>(timing.schedule_ns) / 1e3);
+  for (const PendingRequest& request : batch) {
+    queue_wait_us_.record_always(
+        static_cast<double>(start_ns - request.enqueue_ns) / 1e3);
+    latency_us_.record_always(
+        static_cast<double>(end_ns - request.enqueue_ns) / 1e3);
+  }
+
+  if (obs::enabled()) {
+    static obs::Histogram& batch_hist =
+        obs::metrics().histogram("clpp.serve.batch_size", batch_size_bounds());
+    static obs::Histogram& wait_hist =
+        obs::metrics().histogram("clpp.serve.queue_wait_us");
+    static obs::Histogram& latency_hist =
+        obs::metrics().histogram("clpp.serve.latency_us");
+    batch_hist.record(static_cast<double>(batch.size()));
+    obs::Tracer& tracer = obs::Tracer::instance();
+    for (const PendingRequest& request : batch) {
+      wait_hist.record(static_cast<double>(start_ns - request.enqueue_ns) / 1e3);
+      latency_hist.record(static_cast<double>(end_ns - request.enqueue_ns) / 1e3);
+      // Continue + terminate each request's flow lane on the worker
+      // thread: the queue-wait span (enqueue → collection) steps the
+      // flow, the infer span (collection → verdict) ends it. Perfetto
+      // then draws one connected arrow chain per request across the
+      // client and worker tracks.
+      tracer.record("serve.queue_wait", request.enqueue_ns, start_ns,
+                    obs::kNoArg, request.trace.trace_id,
+                    obs::FlowPhase::kStep);
+      tracer.record("serve.infer", start_ns, end_ns, obs::kNoArg,
+                    request.trace.trace_id, obs::FlowPhase::kEnd);
     }
+    obs::metrics().counter("clpp.serve.batches").add(1);
+    if (coalesced > 0)
+      obs::metrics().counter("clpp.serve.coalesced").add(coalesced);
+  }
+  // Model-quality telemetry: every request position (coalesced duplicates
+  // included — quality is a property of the traffic, not of distinct
+  // snippets). The dangerous direction — model advises parallelizing a
+  // loop the engine proved dependent — is flight-recorded with the
+  // request's trace id so a dump shows which request tripped it.
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    insight::VerdictSample sample;
+    sample.p_directive = advices[i].p_directive;
+    sample.p_private = advices[i].p_private;
+    sample.p_reduction = advices[i].p_reduction;
+    sample.p_dynamic = advices[i].p_dynamic;
+    sample.positive = advices[i].needs_directive;
+    sample.clauses_scored = advices[i].needs_directive;
+    sample.proof = advices[i].proof;
+    const insight::DisagreementKind kind =
+        insight_.observe(batch[i].code, sample);
+    if (kind == insight::DisagreementKind::kModelParallelProofDependent)
+      obs::flight_record("insight.disagree",
+                         static_cast<std::int64_t>(batch[i].trace.trace_id));
+  }
+
+  // Populate the result cache before the promises resolve: a client that
+  // immediately re-sends the snippet it was just answered must hit. One
+  // insert per *distinct* snippet (coalesced rows share their twin's
+  // entry); duplicate inserts across racing workers refresh in place.
+  if (config_.cache.enabled()) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (timing.coalesced_of[i] != 0) continue;
+      const std::size_t bytes = sizeof(core::Advice) +
+                                advices[i].suggestion.size() +
+                                advices[i].compar_suggestion.size();
+      result_cache_.put(cache::snippet_digest(batch[i].code), advices[i],
+                        bytes);
+    }
+  }
+
+  // Counters first, promises second: a caller woken by its future must
+  // already see this batch reflected in stats().
+  completed_.fetch_add(batch.size(), std::memory_order_relaxed);
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  batch_rows_.fetch_add(batch.size(), std::memory_order_relaxed);
+  coalesced_.fetch_add(coalesced, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ServedAdvice served;
+    served.advice = std::move(advices[i]);
+    served.timing.trace_id = batch[i].trace.trace_id;
+    served.timing.queue_us = (start_ns - batch[i].enqueue_ns) / 1000;
+    served.timing.batch_us = batch_us;
+    served.timing.infer_us = infer_us;
+    served.timing.coalesced = timing.coalesced_of[i] != 0;
+    batch[i].result.set_value(std::move(served));
+  }
+}
+
+void InferenceServer::fail_batch(std::vector<PendingRequest>& batch,
+                                 std::exception_ptr error) {
+  obs::flight_record("serve.batch_fail",
+                     static_cast<std::int64_t>(batch.size()));
+  failed_.fetch_add(batch.size(), std::memory_order_relaxed);
+  for (PendingRequest& request : batch) request.result.set_exception(error);
+  if (obs::enabled())
+    obs::metrics().counter("clpp.serve.batch_failures").add(1);
+  if (obs::log_enabled(obs::LogLevel::kWarn)) {
+    Json fields = Json::object();
+    fields["requests"] = static_cast<std::int64_t>(batch.size());
+    try {
+      std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+      fields["error"] = std::string(e.what());
+    } catch (...) {
+      fields["error"] = std::string("unknown exception");
+    }
+    obs::log_warn("serve", "batch failed; futures carry the error",
+                  std::move(fields));
   }
 }
 

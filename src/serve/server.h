@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
 #include <string>
@@ -80,8 +81,15 @@ class InferenceServer {
 
  private:
   void worker_loop(core::ParallelAdvisor& advisor);
+  /// Answers or fails every request of `batch`. After a `ParseError` each
+  /// request is served alone; any other failure fails the whole batch.
   void serve_batch(core::ParallelAdvisor& advisor,
                    std::vector<PendingRequest>& batch);
+  /// One advise_batch pass: records its telemetry and resolves every
+  /// future, or throws with none resolved.
+  void answer_batch(core::ParallelAdvisor& advisor,
+                    std::vector<PendingRequest>& batch);
+  void fail_batch(std::vector<PendingRequest>& batch, std::exception_ptr error);
 
   ServeConfig config_;
   RequestQueue queue_;

@@ -34,15 +34,6 @@ bool readable_now(int fd) {
   return ::poll(&pfd, 1, 0) > 0;
 }
 
-/// One request of a burst: either a future to resolve, a ready admin
-/// reply, or an error determined before submission.
-struct Slot {
-  std::int64_t id = -1;
-  std::future<serve::ServedAdvice> future;
-  std::string preformatted;
-  std::string error;
-};
-
 }  // namespace
 
 Json response_json(std::int64_t id, const serve::ServedAdvice& served) {
@@ -89,6 +80,46 @@ Json normalized_verdict(const Json& response) {
     if (!volatile_key) out[key] = value;
   }
   return out;
+}
+
+PendingReply dispatch_request(serve::InferenceServer& server,
+                              const std::string& payload,
+                              std::int64_t default_id,
+                              std::uint64_t deadline_ns) {
+  PendingReply pending;
+  pending.id = default_id;
+  try {
+    const Json request = Json::parse(payload);
+    pending.id = request.get_int("id", default_id);
+    if (request.contains("cmd")) {
+      const std::string cmd = request.at("cmd").as_string();
+      if (cmd == "stats" || cmd == "quality") {
+        Json reply = Json::object();
+        reply["id"] = pending.id;
+        reply[cmd] = cmd == "stats" ? server.stats_json() : server.quality_json();
+        pending.text = reply.dump();
+      } else {
+        pending.text = error_json(pending.id, "unknown cmd: " + cmd).dump();
+      }
+    } else {
+      pending.future =
+          server.submit(request.at("code").as_string(), deadline_ns);
+    }
+  } catch (const std::exception& e) {
+    pending.text = error_json(pending.id, e.what()).dump();
+  }
+  return pending;
+}
+
+std::string resolve_reply(PendingReply& pending) {
+  if (!pending.text.empty()) return std::move(pending.text);
+  try {
+    return response_json(pending.id, pending.future.get()).dump();
+  } catch (const serve::ServeDeadline&) {
+    return error_json(pending.id, "deadline_exceeded").dump();
+  } catch (const std::exception& e) {
+    return error_json(pending.id, e.what()).dump();
+  }
 }
 
 int run_shard_worker(int fd, const core::ParallelAdvisor& advisor,
@@ -143,61 +174,20 @@ int run_shard_worker(int fd, const core::ParallelAdvisor& advisor,
       std::_Exit(kWorkerFaultExit);
     }
 
-    std::vector<Slot> slots;
-    slots.reserve(burst.size());
+    std::vector<PendingReply> replies;
+    replies.reserve(burst.size());
     const std::uint64_t now_ns = obs::Tracer::now_ns();
-    for (Frame& frame : burst) {
-      Slot slot;
-      try {
-        const Json request = Json::parse(frame.payload);
-        slot.id = request.get_int("id", -1);
-        if (request.contains("cmd")) {
-          const std::string cmd = request.at("cmd").as_string();
-          if (cmd == "stats") {
-            Json reply = Json::object();
-            reply["id"] = slot.id;
-            reply["stats"] = server.stats_json();
-            slot.preformatted = reply.dump();
-          } else if (cmd == "quality") {
-            Json reply = Json::object();
-            reply["id"] = slot.id;
-            reply["quality"] = server.quality_json();
-            slot.preformatted = reply.dump();
-          } else {
-            slot.error = "unknown cmd: " + cmd;
-          }
-        } else {
-          const std::uint64_t deadline_ns =
-              frame.deadline_ms != 0
-                  ? now_ns + static_cast<std::uint64_t>(frame.deadline_ms) *
-                                 1'000'000ULL
-                  : 0;
-          slot.future =
-              server.submit(request.at("code").as_string(), deadline_ns);
-        }
-      } catch (const std::exception& e) {
-        slot.error = e.what();
-      }
-      slots.push_back(std::move(slot));
+    for (const Frame& frame : burst) {
+      const std::uint64_t deadline_ns =
+          frame.deadline_ms != 0
+              ? now_ns + static_cast<std::uint64_t>(frame.deadline_ms) *
+                             1'000'000ULL
+              : 0;
+      replies.push_back(dispatch_request(server, frame.payload, -1, deadline_ns));
     }
-
-    for (Slot& slot : slots) {
-      std::string payload;
-      if (!slot.preformatted.empty()) {
-        payload = std::move(slot.preformatted);
-      } else if (!slot.error.empty()) {
-        payload = error_json(slot.id, slot.error).dump();
-      } else {
-        try {
-          payload = response_json(slot.id, slot.future.get()).dump();
-        } catch (const serve::ServeDeadline&) {
-          payload = error_json(slot.id, "deadline_exceeded").dump();
-        } catch (const std::exception& e) {
-          payload = error_json(slot.id, e.what()).dump();
-        }
-      }
+    for (PendingReply& pending : replies) {
       Frame reply;
-      reply.payload = std::move(payload);
+      reply.payload = resolve_reply(pending);
       if (!write_frame_fd(fd, reply)) return kWorkerErrorExit;
     }
   }

@@ -9,6 +9,10 @@
 // EOF on the pipe is the graceful-drain signal: the worker serves what it
 // already read, shuts the server down, and exits 0.
 //
+// This header also holds what the worker shares with clpp-serve's
+// JSON-lines loop: the reply formats and the request dispatcher, which
+// turns one request payload into a pending reply.
+//
 // Crash seam: `CLPP_FAULTS=shard.batch:N` makes the N-th burst die like a
 // real crash — the worker dumps its flight recorder (when a dump path is
 // armed) and exits abruptly with `kWorkerFaultExit`, losing every request
@@ -17,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <string>
 
 #include "serve/serve.h"
@@ -27,6 +32,10 @@ class Json;  // support/json.h
 
 namespace clpp::core {
 class ParallelAdvisor;
+}
+
+namespace clpp::serve {
+class InferenceServer;  // serve/server.h
 }
 
 namespace clpp::shard {
@@ -57,6 +66,30 @@ Json error_json(std::int64_t id, const std::string& what);
 /// agree on this projection bitwise — fresh, coalesced, replayed after a
 /// crash, or cached.
 Json normalized_verdict(const Json& response);
+
+/// One request between dispatch and reply: `text` holds a reply known at
+/// dispatch (an admin verb's answer or an error), else `future` resolves to
+/// the verdict.
+struct PendingReply {
+  std::int64_t id = -1;
+  std::string text;
+  std::future<serve::ServedAdvice> future;
+};
+
+/// Dispatches one request payload (a JSON line or a frame payload):
+/// `{"cmd":"stats"}` and `{"cmd":"quality"}` answer at once from `server`;
+/// any other `cmd`, malformed JSON or a missing `code` is an error reply;
+/// otherwise `code` is submitted with `deadline_ns` (absolute, 0 = none).
+/// `default_id` stands in when the payload carries no "id".
+PendingReply dispatch_request(serve::InferenceServer& server,
+                              const std::string& payload,
+                              std::int64_t default_id,
+                              std::uint64_t deadline_ns);
+
+/// The reply text of `pending`, waiting for its verdict if need be. A
+/// request dropped at its deadline answers `deadline_exceeded`; any other
+/// serving failure answers with its message.
+std::string resolve_reply(PendingReply& pending);
 
 /// Runs the worker loop until EOF (returns 0) or a fatal protocol/IO error
 /// (returns kWorkerErrorExit). Injected shard.batch faults exit the

@@ -150,10 +150,10 @@ std::vector<std::string> text_tokens(const std::string& code, bool replaced) {
   return out;
 }
 
-/// frontend::dfs_tokens' stream read off one parse as a model input:
-/// pragma nodes are skipped so a label never leaks into its own input,
-/// ID/Decl/FuncDef names are replaced under R-AST, and constant values are
-/// bucketed like the Text path's literals.
+/// The DFS token stream of one parse (paper §4.2): each node's label split
+/// into its symbols. Pragma nodes are skipped so a label never leaks into
+/// its own input, ID/Decl/FuncDef names are replaced under R-AST, and
+/// constant values are bucketed like the Text path's literals.
 std::vector<std::string> ast_tokens(const std::string& code, bool replaced) {
   const frontend::NodePtr unit = frontend::parse_snippet(code);
   NameMap map;

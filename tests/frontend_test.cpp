@@ -407,20 +407,6 @@ TEST(Dfs, MatchesPaperTable5Format) {
   EXPECT_NE(lines.find("ArrayRef:"), std::string::npos);
 }
 
-TEST(Dfs, TokensSplitLabelParts) {
-  const NodePtr unit = parse_snippet("x = 1;");
-  const auto tokens = dfs_tokens(*unit);
-  // ExprStmt: Assignment: = ID: x Constant: int 1
-  ASSERT_GE(tokens.size(), 7u);
-  EXPECT_EQ(tokens[0], "ExprStmt:");
-  EXPECT_EQ(tokens[1], "Assignment:");
-  EXPECT_EQ(tokens[2], "=");
-  EXPECT_EQ(tokens[3], "ID:");
-  EXPECT_EQ(tokens[4], "x");
-  EXPECT_EQ(tokens[5], "Constant:");
-  EXPECT_EQ(tokens[6], "int");
-}
-
 TEST(Dfs, DeeperNodesIndentFurther) {
   const NodePtr unit = parse_snippet("for (;;) a = 1;");
   const std::string lines = dfs_lines(*unit);

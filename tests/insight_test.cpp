@@ -14,8 +14,6 @@
 #include "insight/drift.h"
 #include "insight/insight.h"
 #include "support/json.h"
-#include "tokenize/representation.h"
-#include "tokenize/vocabulary.h"
 
 namespace clpp::insight {
 namespace {
@@ -197,23 +195,14 @@ TEST(InsightTracker, QualityJsonRoundTripsTheSnapshot) {
 /// independent of model quality.
 std::unique_ptr<core::ParallelAdvisor> tiny_advisor() {
   constexpr std::size_t kMaxLen = 32;
-  std::vector<std::vector<std::string>> documents = {
-      tokenize::tokenize(kStencil, tokenize::Representation::kText)};
-  tokenize::Vocabulary vocab = tokenize::Vocabulary::build(documents);
   core::PragFormerConfig config;
-  config.encoder.vocab_size = vocab.size();
   config.encoder.max_seq = kMaxLen;
   config.encoder.dim = 8;
   config.encoder.heads = 2;
   config.encoder.layers = 1;
   config.encoder.ffn_dim = 16;
-  Rng rng(7);
-  auto directive = std::make_unique<core::PragFormer>(config, rng);
-  auto private_model = std::make_unique<core::PragFormer>(config, rng);
-  auto reduction = std::make_unique<core::PragFormer>(config, rng);
   return std::make_unique<core::ParallelAdvisor>(
-      std::move(directive), std::move(private_model), std::move(reduction),
-      std::move(vocab), tokenize::Representation::kText, kMaxLen);
+      core::ParallelAdvisor::untrained({kStencil}, config, kMaxLen, 7));
 }
 
 TEST(AdvisorFingerprint, CheckpointRoundTripCarriesTheFingerprint) {

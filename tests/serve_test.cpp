@@ -27,8 +27,6 @@
 #include "serve/queue.h"
 #include "serve/server.h"
 #include "support/json.h"
-#include "tokenize/representation.h"
-#include "tokenize/vocabulary.h"
 
 namespace clpp::serve {
 namespace {
@@ -60,28 +58,14 @@ const std::vector<std::string>& snippets() {
 /// Builds a small untrained advisor whose vocabulary covers the snippets.
 std::unique_ptr<ParallelAdvisor> tiny_advisor() {
   constexpr std::size_t kMaxLen = 48;
-  std::vector<std::vector<std::string>> documents;
-  for (const std::string& code : snippets())
-    documents.push_back(tokenize::tokenize(code, tokenize::Representation::kText));
-  tokenize::Vocabulary vocab = tokenize::Vocabulary::build(documents);
-
   core::PragFormerConfig config;
-  config.encoder.vocab_size = vocab.size();
   config.encoder.max_seq = kMaxLen;
   config.encoder.dim = 16;
   config.encoder.heads = 2;
   config.encoder.layers = 1;
   config.encoder.ffn_dim = 32;
-  Rng rng(4242);
-  auto directive = std::make_unique<core::PragFormer>(config, rng);
-  auto private_model = std::make_unique<core::PragFormer>(config, rng);
-  auto reduction = std::make_unique<core::PragFormer>(config, rng);
-  auto schedule = std::make_unique<core::PragFormer>(config, rng);
-  auto advisor = std::make_unique<ParallelAdvisor>(
-      std::move(directive), std::move(private_model), std::move(reduction),
-      std::move(vocab), tokenize::Representation::kText, kMaxLen);
-  advisor->set_schedule_model(std::move(schedule));
-  return advisor;
+  return std::make_unique<ParallelAdvisor>(
+      ParallelAdvisor::untrained(snippets(), config, kMaxLen, 4242));
 }
 
 void expect_same_advice(const Advice& a, const Advice& b, const std::string& code) {
@@ -378,6 +362,29 @@ TEST(ServerTest, InjectedWorkerFaultFailsOnlyItsOwnBatch) {
   const ServeStats stats = server.stats();
   EXPECT_EQ(stats.failed, 4u);
   EXPECT_EQ(stats.completed, 4u);
+}
+
+TEST(ServerTest, UnparseableRequestFailsOnlyItself) {
+  const auto advisor = tiny_advisor();
+  ServeConfig config;
+  config.max_batch = 3;
+  config.max_delay_us = 200'000;  // all three submissions share one batch
+  InferenceServer server(*advisor, config);
+
+  // '@' is no C token: tokenizing it throws ParseError inside advise_batch.
+  const std::string bad = "for (i = 0; i < n; i++) a[i] = b[i] @ 2;";
+  std::future<ServedAdvice> first = server.submit(snippets()[0]);
+  std::future<ServedAdvice> middle = server.submit(bad);
+  std::future<ServedAdvice> last = server.submit(snippets()[1]);
+  expect_same_advice(first.get().advice, advisor->advise(snippets()[0]),
+                     snippets()[0]);
+  EXPECT_THROW(middle.get(), ParseError);
+  expect_same_advice(last.get().advice, advisor->advise(snippets()[1]),
+                     snippets()[1]);
+
+  const ServeStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.failed, 1u);
 }
 
 TEST(ServerTest, EnqueueFaultSeamRejectsTheSubmission) {

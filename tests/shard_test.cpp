@@ -17,32 +17,32 @@
 // happen.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/advisor.h"
 #include "obs/trace.h"
 #include "resil/fault.h"
 #include "shard/admission.h"
+#include "shard/client.h"
 #include "shard/frame.h"
 #include "shard/listener.h"
 #include "shard/supervisor.h"
 #include "shard/worker.h"
 #include "support/json.h"
 #include "support/rng.h"
-#include "tokenize/representation.h"
-#include "tokenize/vocabulary.h"
 
 namespace clpp::shard {
 namespace {
@@ -69,29 +69,14 @@ const std::vector<std::string>& snippets() {
 /// the crash-recovery suite fast enough for the TSan job).
 std::unique_ptr<ParallelAdvisor> tiny_advisor() {
   constexpr std::size_t kMaxLen = 48;
-  std::vector<std::vector<std::string>> documents;
-  for (const std::string& code : snippets())
-    documents.push_back(
-        tokenize::tokenize(code, tokenize::Representation::kText));
-  tokenize::Vocabulary vocab = tokenize::Vocabulary::build(documents);
-
   core::PragFormerConfig config;
-  config.encoder.vocab_size = vocab.size();
   config.encoder.max_seq = kMaxLen;
   config.encoder.dim = 16;
   config.encoder.heads = 2;
   config.encoder.layers = 1;
   config.encoder.ffn_dim = 32;
-  Rng rng(4242);
-  auto directive = std::make_unique<core::PragFormer>(config, rng);
-  auto private_model = std::make_unique<core::PragFormer>(config, rng);
-  auto reduction = std::make_unique<core::PragFormer>(config, rng);
-  auto schedule = std::make_unique<core::PragFormer>(config, rng);
-  auto advisor = std::make_unique<ParallelAdvisor>(
-      std::move(directive), std::move(private_model), std::move(reduction),
-      std::move(vocab), tokenize::Representation::kText, kMaxLen);
-  advisor->set_schedule_model(std::move(schedule));
-  return advisor;
+  return std::make_unique<ParallelAdvisor>(
+      ParallelAdvisor::untrained(snippets(), config, kMaxLen, 4242));
 }
 
 std::string request_payload(std::int64_t id, const std::string& code) {
@@ -580,22 +565,6 @@ TEST(ShardSupervisorTest, RetiresShardAfterRestartBudgetExhausts) {
 
 // ---------------------------------------------------------------- listener
 
-int connect_loopback(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof addr);
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 /// Turns the listener's event loop until a frame is readable on `fd`, then
 /// reads it. The test thread plays both client and server, so the client
 /// never blocks without first giving the listener a turn.
@@ -869,6 +838,78 @@ TEST(SocketListenerTest, QuotaShedsWithRetryAfterHint) {
   EXPECT_EQ(body.get_string("reason", ""), "quota");
   EXPECT_GT(body.get_int("retry_after_ms", 0), 0);
   ::close(fd);
+}
+
+// ------------------------------------------------------------ shared client
+
+TEST(ShardClientTest, ClosedLoopCountsOkCachedAndMismatches) {
+  const auto advisor = tiny_advisor();
+  SupervisorConfig config = ListenerHarness::make_config();
+  config.cache.max_entries = 64;
+  ListenerHarness harness(*advisor, config);
+  const std::uint16_t port = harness.listener->port();
+  // The client blocks on its sockets, so the event loop gets a thread of
+  // its own. The shards are already forked and none dies here, so no fork
+  // happens while threads run.
+  std::thread loop([&] { harness.listener->run(); });
+
+  // Request 0 is the only one for snippets()[7], whose seeded verdict is
+  // wrong: exactly one mismatch. The other 23 repeat four snippets, so
+  // with at most four in flight some find the front cache filled.
+  std::map<std::string, std::string> verdict_of;
+  verdict_of[snippets()[7]] = R"({"p_directive":2})";
+  const ClosedLoopResult run = run_closed_loop(
+      {.port = port,
+       .requests = 24,
+       .concurrency = 4,
+       .client_prefix = "test-",
+       .code_of =
+           [](std::size_t r) { return snippets()[r == 0 ? 7 : r % 4]; }},
+      verdict_of);
+  const Json stats = fetch_stats(port);
+  harness.listener->stop();
+  loop.join();
+
+  EXPECT_EQ(run.ok, 24u);
+  EXPECT_EQ(run.lost, 0u);
+  EXPECT_EQ(run.shed + run.errors, 0u);
+  EXPECT_GT(run.cached, 0u);
+  EXPECT_EQ(run.mismatches, 1u);
+  ASSERT_EQ(run.latencies_us.size(), 24u);
+  EXPECT_TRUE(std::is_sorted(run.latencies_us.begin(), run.latencies_us.end()));
+  ASSERT_EQ(verdict_of.size(), 5u);
+  EXPECT_EQ(stats.at("schema").as_string(), "clpp.shard_stats.v1");
+}
+
+TEST(ShardClientTest, ClosedPortLosesEveryRequestWithoutHanging) {
+  // Bound but never listening: the port stays reserved and refuses every
+  // connect.
+  const int reserved = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(reserved, 0);
+  struct sockaddr_in addr {};
+  addr.sin_family = AF_INET;
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::bind(reserved, reinterpret_cast<struct sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::getsockname(reserved, reinterpret_cast<struct sockaddr*>(&addr),
+                          &len),
+            0);
+  const std::uint16_t port = ntohs(addr.sin_port);
+
+  std::map<std::string, std::string> verdict_of;
+  const ClosedLoopResult run = run_closed_loop(
+      {.port = port,
+       .requests = 6,
+       .concurrency = 2,
+       .client_prefix = "test-",
+       .code_of = [](std::size_t r) { return snippets()[r % 4]; }},
+      verdict_of);
+  EXPECT_TRUE(fetch_stats(port).is_null());
+  ::close(reserved);
+
+  EXPECT_EQ(run.lost, 6u);
+  EXPECT_EQ(run.ok, 0u);
+  EXPECT_TRUE(run.latencies_us.empty());
+  EXPECT_TRUE(verdict_of.empty());
 }
 
 }  // namespace
