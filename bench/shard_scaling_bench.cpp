@@ -187,7 +187,6 @@ PointResult run_point(const core::ParallelAdvisor& advisor, std::size_t shards,
       {.port = port,
        .requests = requests,
        .concurrency = concurrency,
-       .client_prefix = "scale-",
        .code_of =
            [&](std::size_t r) {
              return (r % 100) < dup_cut ? hot_snippet(r % hot_set)

@@ -353,7 +353,6 @@ int run_socket_loadgen(std::uint16_t port, std::size_t total,
        .requests = total,
        .concurrency = concurrency,
        .deadline_ms = deadline_ms,
-       .client_prefix = "loadgen-",
        .code_of = [&](std::size_t r) { return mix[r % mix.size()]; }},
       verdict_of);
 

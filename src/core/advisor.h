@@ -157,6 +157,10 @@ class ParallelAdvisor {
     fingerprint_ = std::move(fingerprint);
   }
 
+  /// The token stream the models read; `tokenize::tokenize(code,
+  /// representation())` throws the `ParseError` that `advise` would.
+  tokenize::Representation representation() const { return rep_; }
+
  private:
   mutable std::unique_ptr<PragFormer> directive_model_;
   mutable std::unique_ptr<PragFormer> private_model_;

@@ -8,6 +8,7 @@
 #include "obs/trace.h"
 #include "resil/fault.h"
 #include "support/json.h"
+#include "tokenize/representation.h"
 
 namespace clpp::serve {
 
@@ -158,17 +159,26 @@ void InferenceServer::serve_batch(core::ParallelAdvisor& advisor,
     answer_batch(advisor, batch);
   } catch (const ParseError&) {
     // advise_batch tokenizes every snippet before its first forward pass,
-    // so one unparseable snippet throws for all of its batchmates. Answer
-    // each request alone instead: only those that fail on their own fail,
-    // and a batch-of-one verdict is bitwise equal to the batched one.
+    // so one unparseable snippet throws for all of its batchmates. Fail
+    // each snippet that does not tokenize on its own with its own error,
+    // and answer the rest as one batch, so their batching and coalescing
+    // survive; no verdict depends on its batchmates.
+    std::vector<PendingRequest> tokenized;
     for (PendingRequest& request : batch) {
-      std::vector<PendingRequest> one;
-      one.push_back(std::move(request));
       try {
-        answer_batch(advisor, one);
-      } catch (...) {
+        tokenize::tokenize(request.code, advisor.representation());
+        tokenized.push_back(std::move(request));
+      } catch (const ParseError&) {
+        std::vector<PendingRequest> one;
+        one.push_back(std::move(request));
         fail_batch(one, std::current_exception());
       }
+    }
+    if (tokenized.empty()) return;
+    try {
+      answer_batch(advisor, tokenized);
+    } catch (...) {
+      fail_batch(tokenized, std::current_exception());
     }
   } catch (...) {
     // Any other failure (an injected fault, OOM) fails exactly the

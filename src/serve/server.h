@@ -81,8 +81,9 @@ class InferenceServer {
 
  private:
   void worker_loop(core::ParallelAdvisor& advisor);
-  /// Answers or fails every request of `batch`. After a `ParseError` each
-  /// request is served alone; any other failure fails the whole batch.
+  /// Answers or fails every request of `batch`. After a `ParseError` the
+  /// requests that do not tokenize fail alone and the rest are answered as
+  /// one batch; any other failure fails the whole batch.
   void serve_batch(core::ParallelAdvisor& advisor,
                    std::vector<PendingRequest>& batch);
   /// One advise_batch pass: records its telemetry and resolves every

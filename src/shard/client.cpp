@@ -91,7 +91,8 @@ ClosedLoopResult run_closed_loop(
   clients.reserve(load.concurrency);
   for (std::size_t c = 0; c < load.concurrency; ++c) {
     clients.emplace_back([&, c] {
-      const std::string client = load.client_prefix + std::to_string(c);
+      // The admission-quota key: one token bucket per client thread.
+      const std::string client = "loadgen-" + std::to_string(c);
       int fd = connect_loopback(load.port);
       for (;;) {
         const std::size_t r = next.fetch_add(1);

@@ -38,8 +38,6 @@ struct ClosedLoop {
   std::size_t concurrency = 1;
   /// Sent in every frame header (0 = none).
   std::uint32_t deadline_ms = 0;
-  /// Thread c sends `"client": client_prefix + c`, its admission-quota key.
-  std::string client_prefix;
   /// Code text of request r (0-based); called from the client threads.
   std::function<std::string(std::size_t)> code_of;
 };

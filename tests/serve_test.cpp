@@ -385,6 +385,7 @@ TEST(ServerTest, UnparseableRequestFailsOnlyItself) {
   const ServeStats stats = server.stats();
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.batches, 1u);  // the two valid requests still share one
 }
 
 TEST(ServerTest, EnqueueFaultSeamRejectsTheSubmission) {

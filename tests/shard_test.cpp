@@ -862,7 +862,6 @@ TEST(ShardClientTest, ClosedLoopCountsOkCachedAndMismatches) {
       {.port = port,
        .requests = 24,
        .concurrency = 4,
-       .client_prefix = "test-",
        .code_of =
            [](std::size_t r) { return snippets()[r == 0 ? 7 : r % 4]; }},
       verdict_of);
@@ -900,7 +899,6 @@ TEST(ShardClientTest, ClosedPortLosesEveryRequestWithoutHanging) {
       {.port = port,
        .requests = 6,
        .concurrency = 2,
-       .client_prefix = "test-",
        .code_of = [](std::size_t r) { return snippets()[r % 4]; }},
       verdict_of);
   EXPECT_TRUE(fetch_stats(port).is_null());
