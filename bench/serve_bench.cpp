@@ -17,7 +17,7 @@
 // a single core, where per-row transformer FLOPs cannot be amortized),
 // (b) exact-length bucketing: no padding FLOPs even for mixed-length
 // batches, and (c) on multi-core hosts, one batched forward parallelizes
-// across rows where 32 stateful single-row forwards cannot. B=1 cannot
+// across rows where 32 single-row forwards cannot. B=1 cannot
 // coalesce or bucket (every batch is one request), which is exactly the
 // single-request serving baseline.
 //
@@ -98,14 +98,16 @@ void BM_BatchedInference(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedInference)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_ServerClosedLoop(benchmark::State& state) {
+/// kConcurrency closed-loop clients against one InferenceServer with
+/// `max_batch`, four requests each per iteration.
+void closed_loop(benchmark::State& state, std::size_t max_batch) {
   const auto& codes = snippet_mix();
   serve::ServeConfig config;
-  config.max_batch = static_cast<std::size_t>(state.range(0));
+  config.max_batch = max_batch;
   config.max_delay_us = 2000;
   config.options = model_only();
-  // The server stays resident across iterations: constructing one (it clones
-  // a model replica per worker) is serving *setup*, not per-request work.
+  // The server stays resident across iterations: starting it is serving
+  // *setup*, not per-request work.
   serve::InferenceServer server(advisor(), config);
   constexpr std::size_t kPerClient = 4;
   for (auto _ : state) {
@@ -123,6 +125,10 @@ void BM_ServerClosedLoop(benchmark::State& state) {
   server.shutdown();
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * kConcurrency * kPerClient));
+}
+
+void BM_ServerClosedLoop(benchmark::State& state) {
+  closed_loop(state, static_cast<std::size_t>(state.range(0)));
 }
 // UseRealTime matters: the forwards run on worker threads, so the main
 // thread's CPU time would wildly overstate throughput.
@@ -142,28 +148,8 @@ BENCHMARK(BM_ServerClosedLoop)
 void BM_ServerClosedLoopObs(benchmark::State& state) {
   const bool was_enabled = obs::enabled();
   obs::set_enabled(state.range(0) != 0);
-  const auto& codes = snippet_mix();
-  serve::ServeConfig config;
-  config.max_batch = kConcurrency;
-  config.max_delay_us = 2000;
-  config.options = model_only();
-  serve::InferenceServer server(advisor(), config);
-  constexpr std::size_t kPerClient = 4;
-  for (auto _ : state) {
-    std::vector<std::thread> clients;
-    clients.reserve(kConcurrency);
-    for (std::size_t c = 0; c < kConcurrency; ++c) {
-      clients.emplace_back([&, c] {
-        for (std::size_t r = 0; r < kPerClient; ++r)
-          server.submit(codes[c % codes.size()]).get();
-      });
-    }
-    for (std::thread& t : clients) t.join();
-  }
-  server.shutdown();
+  closed_loop(state, kConcurrency);
   obs::set_enabled(was_enabled);
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kConcurrency * kPerClient));
 }
 BENCHMARK(BM_ServerClosedLoopObs)
     ->Arg(0)

@@ -21,9 +21,10 @@
 // FIFO order by a separate writer thread, a burst of piped lines is served
 // in micro-batches while interactive use still answers line by line.
 //
-// Admin verbs: a line {"cmd":"stats"} answers (in order, like any request)
-// with {"id":...,"stats":{...}} — live queue depth, batch occupancy,
-// coalesce rate, and streaming latency percentiles per task model.
+// Admin verbs: a line {"cmd":"stats"} answers in order, like any request,
+// and counts every request before it: {"id":...,"stats":{...}} — live
+// queue depth, batch occupancy, coalesce rate, and streaming latency
+// percentiles per task model.
 // {"cmd":"quality"} answers with a `clpp.insight.v1` snapshot: per-task
 // confidence histograms, online ECE, analyzer-vs-model disagreement counts,
 // and the drift score of recent traffic against the training fingerprint.
@@ -143,7 +144,7 @@ int run_jsonl(serve::InferenceServer& server) {
         next = std::move(inflight.front());
         inflight.pop_front();
       }
-      const std::string line = shard::resolve_reply(next);
+      const std::string line = shard::resolve_reply(server, next);
       std::fputs(line.c_str(), stdout);
       std::fputc('\n', stdout);
       std::fflush(stdout);
@@ -222,7 +223,7 @@ int run_loadgen(const core::ParallelAdvisor& advisor, serve::ServeConfig config,
   report["requests"] = static_cast<std::int64_t>(total);
 
   if (sequential) {
-    // Baseline: the stateful advisor serves one request at a time.
+    // Baseline: one advise() call at a time, no batching.
     std::vector<double> latencies;
     latencies.reserve(total);
     const auto t0 = Clock::now();
@@ -395,7 +396,7 @@ int main(int argc, char** argv) {
   parser.add_int("max-batch", static_cast<std::int64_t>(core::kDefaultInferBatch),
                  "largest micro-batch per inference pass");
   parser.add_int("max-delay-us", 2000, "longest a batch waits for company");
-  parser.add_int("workers", 1, "worker threads (one advisor replica each)");
+  parser.add_int("workers", 1, "worker threads (all serve the one advisor)");
   parser.add_int("queue-capacity", 1024, "bounded request-queue size");
   parser.add_flag("reject", "shed load when the queue is full instead of blocking");
   parser.add_flag("no-analysis", "skip dependence-analyzer clause naming");

@@ -62,7 +62,8 @@ mkdir -p "$OUT_DIR/flights"
 
 # Batch isolation (DESIGN.md §9): an unparseable request fails alone, not
 # the valid requests batched with it. Three lines arrive in one 200 ms batch
-# window; the middle one holds '@', which starts no C token.
+# window; the middle one holds '@', which starts no C token. A stats line
+# follows them and answers in its turn: it counts all three.
 echo "== batch isolation: one unparseable request among three in one batch =="
 ISO="$OUT_DIR/batch_isolation.jsonl"
 ISO_RC=0
@@ -70,6 +71,7 @@ printf '%s\n' \
   '{"id":1,"code":"for (i = 0; i < n; i++) a[i] = b[i];"}' \
   '{"id":2,"code":"for (i = 0; i < n; i++) a[i] = b[i] @ 2;"}' \
   '{"id":3,"code":"for (i = 0; i < n; i++) c[i] = a[i] + b[i];"}' \
+  '{"id":4,"cmd":"stats"}' \
   | "$BUILD_DIR/examples/clpp-serve" --random-model --max-delay-us 200000 \
   > "$ISO" || ISO_RC=$?
 # verdict_line <line> <id>: that line answers request <id> with a verdict.
@@ -77,7 +79,7 @@ verdict_line() {
   sed -n "$1p" "$ISO" | grep -v '"error"' | grep "\"id\":$2," \
     | grep -q '"p_directive"'
 }
-if [ "$ISO_RC" -ne 0 ] || [ "$(wc -l < "$ISO")" -ne 3 ] \
+if [ "$ISO_RC" -ne 0 ] || [ "$(wc -l < "$ISO")" -ne 4 ] \
   || [ "$(grep -c '"error"' "$ISO")" -ne 1 ] \
   || ! sed -n 2p "$ISO" | grep -q '^{"error":.*"id":2}$' \
   || ! verdict_line 1 1 || ! verdict_line 3 3; then
@@ -85,7 +87,14 @@ if [ "$ISO_RC" -ne 0 ] || [ "$(wc -l < "$ISO")" -ne 3 ] \
   cat "$ISO" >&2
   exit 1
 fi
-echo "check_shard: batch isolation: only request 2 failed"
+if ! sed -n 4p "$ISO" | grep -q '^{"id":4,"stats":{' \
+  || ! sed -n 4p "$ISO" | grep -q '"completed":2,' \
+  || ! sed -n 4p "$ISO" | grep -q '"failed":1,'; then
+  echo "check_shard: the stats line did not count the three requests before it:" >&2
+  cat "$ISO" >&2
+  exit 1
+fi
+echo "check_shard: batch isolation: only request 2 failed; stats counted all three"
 
 # run_pass <label> <fault-plan> <stats-file> <verdict-file> [server args...]
 # Starts the front end under the fault plan, drives the loadgen, stops the

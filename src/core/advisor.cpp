@@ -105,7 +105,7 @@ std::vector<Advice> ParallelAdvisor::advise_batch(const std::vector<std::string>
 
   // Runs `model` over `subset` (indices into codes), one forward per
   // length-bucket, and writes each probability via `sink(index, p)`.
-  const auto score_subset = [&](PragFormer& model,
+  const auto score_subset = [&](const PragFormer& model,
                                 const std::vector<std::size_t>& subset,
                                 const std::function<void(std::size_t, float)>& sink) {
     std::map<std::size_t, std::vector<std::size_t>> buckets;
@@ -345,13 +345,9 @@ ParallelAdvisor ParallelAdvisor::load(const std::string& path) {
   return load_advisor_stream(in, path);
 }
 
-ParallelAdvisor ParallelAdvisor::deserialize(const std::string& payload) {
-  std::istringstream in(payload);
-  return load_advisor_stream(in, "<memory>");
-}
-
 std::unique_ptr<ParallelAdvisor> ParallelAdvisor::clone() const {
-  return std::make_unique<ParallelAdvisor>(deserialize(serialize()));
+  std::istringstream in(serialize());
+  return std::make_unique<ParallelAdvisor>(load_advisor_stream(in, "<memory>"));
 }
 
 Explanation ParallelAdvisor::explain(const std::string& code) const {

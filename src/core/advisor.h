@@ -95,7 +95,8 @@ class ParallelAdvisor {
 
   /// Analyzes one snippet. Throws ParseError only for AST representations
   /// on unparseable input; the default Text representation accepts any
-  /// lexable code.
+  /// lexable code. Advising writes nothing: any number of threads may
+  /// advise on one advisor at once.
   Advice advise(const std::string& code) const;
   Advice advise(const std::string& code, const AdviseOptions& options) const;
 
@@ -134,16 +135,13 @@ class ParallelAdvisor {
   void save(const std::string& path) const;
   static ParallelAdvisor load(const std::string& path);
 
-  /// In-memory (de)serialization — the byte payload `save` wraps in a
-  /// checksummed resil container. `deserialize(serialize())` reconstructs an
-  /// advisor with bitwise-identical behaviour; serve worker replicas are
-  /// cloned this way.
+  /// In-memory serialization — the byte payload `save` wraps in a
+  /// checksummed resil container.
   std::string serialize() const;
-  static ParallelAdvisor deserialize(const std::string& payload);
 
-  /// Deep copy with independent model state, safe to drive from another
-  /// thread (inference caches activations, so two threads must never share
-  /// one advisor).
+  /// Deep copy through `serialize()`: bitwise-identical verdicts from
+  /// weights of its own, so training one copy leaves the other untouched.
+  /// Serving never needs one; threads share the advisor.
   std::unique_ptr<ParallelAdvisor> clone() const;
 
   /// Attention-map explanation of the directive prediction for `code`.
@@ -162,10 +160,10 @@ class ParallelAdvisor {
   tokenize::Representation representation() const { return rep_; }
 
  private:
-  mutable std::unique_ptr<PragFormer> directive_model_;
-  mutable std::unique_ptr<PragFormer> private_model_;
-  mutable std::unique_ptr<PragFormer> reduction_model_;
-  mutable std::unique_ptr<PragFormer> schedule_model_;  // optional
+  std::unique_ptr<PragFormer> directive_model_;
+  std::unique_ptr<PragFormer> private_model_;
+  std::unique_ptr<PragFormer> reduction_model_;
+  std::unique_ptr<PragFormer> schedule_model_;  // optional
   tokenize::Vocabulary vocab_;
   tokenize::Representation rep_;
   std::size_t max_len_;

@@ -35,7 +35,7 @@ std::string Explanation::ascii() const {
   return os.str();
 }
 
-Explanation explain_prediction(PragFormer& model,
+Explanation explain_prediction(const PragFormer& model,
                                const tokenize::Vocabulary& vocabulary,
                                tokenize::Representation rep, std::size_t max_len,
                                const std::string& code) {
@@ -53,14 +53,12 @@ Explanation explain_prediction(PragFormer& model,
   batch.ids = encoded;
   batch.lengths = {static_cast<int>(encoded.size())};
 
-  out.p_positive = model.predict_proba(batch)[0];
-
-  // Read the attention probabilities cached by the forward pass above.
-  const std::size_t last = model.encoder().block_count() - 1;
-  out.layer = last;
-  const Tensor& probs = model.encoder().block(last).attention().last_probs();
-  // probs is [heads, seq, seq] for batch = 1; take the <cls> row (query 0)
-  // averaged over heads.
+  Tensor probs;
+  out.p_positive =
+      nn::positive_probabilities(model.logits(batch, /*train=*/false, &probs))[0];
+  out.layer = model.config().encoder.layers - 1;
+  // probs is the last layer's [heads, seq, seq] for batch = 1; take the
+  // <cls> row (query 0) averaged over heads.
   const std::size_t heads = probs.dim(0);
   const std::size_t seq = probs.dim(1);
   CLPP_CHECK(seq == batch.seq);

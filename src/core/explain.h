@@ -2,9 +2,10 @@
 //
 // §4.1 of the paper motivates self-attention by the influence one variable
 // or statement exerts on another's contextualized vector. This module
-// makes that inspectable: after a forward pass it extracts how much the
-// classification anchor (the <cls> position, whose vector feeds the FC
-// head) attends to each input token, per layer and head.
+// makes that inspectable: the forward pass hands back the last layer's
+// attention maps, and this module extracts how much the classification
+// anchor (the <cls> position, whose vector feeds the FC head) attends to
+// each input token, averaged over heads.
 #pragma once
 
 #include <string>
@@ -40,7 +41,7 @@ struct Explanation {
 /// Runs `code` through `model` and reads the <cls>-row attention of the
 /// last encoder layer (averaged over heads). `model` must share
 /// `vocabulary`/`rep`/`max_len` with its training pipeline.
-Explanation explain_prediction(PragFormer& model,
+Explanation explain_prediction(const PragFormer& model,
                                const tokenize::Vocabulary& vocabulary,
                                tokenize::Representation rep, std::size_t max_len,
                                const std::string& code);

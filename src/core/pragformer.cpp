@@ -20,11 +20,14 @@ PragFormer::PragFormer(const PragFormerConfig& config, Rng& rng)
       head_drop_(config.head_dropout, rng),
       head2_("head.fc2", head_width(config), 2, rng) {}
 
-Tensor PragFormer::logits(const nn::TokenBatch& batch, bool train) {
-  batch_ = batch.batch;
-  seq_ = batch.seq;
-  Tensor hidden = encoder_.forward(batch, train);
-  Tensor pooled = nn::pooled_cls(hidden, batch_, seq_);
+Tensor PragFormer::logits(const nn::TokenBatch& batch, bool train,
+                          Tensor* attention) const {
+  if (train) {
+    batch_ = batch.batch;
+    seq_ = batch.seq;
+  }
+  Tensor hidden = encoder_.forward(batch, train, attention);
+  Tensor pooled = nn::pooled_cls(hidden, batch.batch, batch.seq);
   Tensor h = head1_.forward(pooled, train);
   h = relu_.forward(h, train);
   h = head_drop_.forward(h, train);
@@ -41,7 +44,7 @@ void PragFormer::backward(const Tensor& grad_logits) {
   encoder_.backward(g);
 }
 
-std::vector<float> PragFormer::predict_proba(const nn::TokenBatch& batch) {
+std::vector<float> PragFormer::predict_proba(const nn::TokenBatch& batch) const {
   CLPP_TRACE_SPAN_ARG("infer.predict", batch.batch);
   const Stopwatch clock;
   std::vector<float> probs = nn::positive_probabilities(logits(batch, /*train=*/false));

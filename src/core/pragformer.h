@@ -30,14 +30,18 @@ class PragFormer {
  public:
   PragFormer(const PragFormerConfig& config, Rng& rng);
 
-  /// Computes [batch, 2] logits for a token batch.
-  Tensor logits(const nn::TokenBatch& batch, bool train);
+  /// Computes [batch, 2] logits for a token batch. `attention`, when
+  /// non-null, receives the last encoder block's attention probabilities
+  /// [B*H, S, S]. With train=false the model is not written.
+  Tensor logits(const nn::TokenBatch& batch, bool train,
+                Tensor* attention = nullptr) const;
 
-  /// Backpropagates from dL/dlogits through head and encoder.
+  /// Backpropagates from dL/dlogits through head and encoder; follows a
+  /// logits(batch, true).
   void backward(const Tensor& grad_logits);
 
   /// P(positive) per sample for a batch (eval mode).
-  std::vector<float> predict_proba(const nn::TokenBatch& batch);
+  std::vector<float> predict_proba(const nn::TokenBatch& batch) const;
 
   /// All trainable parameters (encoder + head).
   std::vector<nn::Parameter*> parameters();
@@ -46,7 +50,7 @@ class PragFormer {
   /// the head stays freshly initialized). Returns #tensors restored.
   std::size_t load_pretrained_encoder(const std::map<std::string, Tensor>& checkpoint);
 
-  nn::TransformerEncoder& encoder() { return encoder_; }
+  const nn::TransformerEncoder& encoder() const { return encoder_; }
   const PragFormerConfig& config() const { return config_; }
 
  private:
@@ -56,9 +60,9 @@ class PragFormer {
   nn::ReLU relu_;
   nn::Dropout head_drop_;
   nn::Linear head2_;
-  // Geometry of the in-flight batch for backward.
-  std::size_t batch_ = 0;
-  std::size_t seq_ = 0;
+  // Geometry of the training forward, for backward.
+  mutable std::size_t batch_ = 0;
+  mutable std::size_t seq_ = 0;
 };
 
 }  // namespace clpp::core

@@ -239,7 +239,7 @@ std::vector<EpochCurve> train_classifier(
   return curves;
 }
 
-std::pair<float, float> evaluate_loss_accuracy(PragFormer& model,
+std::pair<float, float> evaluate_loss_accuracy(const PragFormer& model,
                                                const EncodedDataset& dataset,
                                                std::size_t batch_size) {
   CLPP_CHECK(dataset.size() > 0);
@@ -267,7 +267,7 @@ std::pair<float, float> evaluate_loss_accuracy(PragFormer& model,
           static_cast<float>(correct) / static_cast<float>(dataset.size())};
 }
 
-std::vector<float> predict_dataset(PragFormer& model, const EncodedDataset& dataset,
+std::vector<float> predict_dataset(const PragFormer& model, const EncodedDataset& dataset,
                                    std::size_t batch_size) {
   CLPP_CHECK_MSG(dataset.size() > 0,
                  "predict_dataset: empty dataset (no rows to score)");
@@ -285,7 +285,7 @@ std::vector<float> predict_dataset(PragFormer& model, const EncodedDataset& data
   return out;
 }
 
-BinaryMetrics evaluate_metrics(PragFormer& model, const EncodedDataset& dataset,
+BinaryMetrics evaluate_metrics(const PragFormer& model, const EncodedDataset& dataset,
                                std::size_t batch_size) {
   CLPP_CHECK_MSG(dataset.size() > 0,
                  "evaluate_metrics: empty dataset (metrics would divide by zero)");

@@ -72,16 +72,16 @@ std::vector<EpochCurve> train_classifier(
     const std::function<void(const EpochCurve&)>& on_epoch = nullptr);
 
 /// Loss + accuracy of `model` on a dataset (eval mode, batched).
-std::pair<float, float> evaluate_loss_accuracy(PragFormer& model,
+std::pair<float, float> evaluate_loss_accuracy(const PragFormer& model,
                                                const EncodedDataset& dataset,
                                                std::size_t batch_size = kDefaultInferBatch);
 
 /// P(positive) for every row of `dataset` (eval mode, batched).
-std::vector<float> predict_dataset(PragFormer& model, const EncodedDataset& dataset,
+std::vector<float> predict_dataset(const PragFormer& model, const EncodedDataset& dataset,
                                    std::size_t batch_size = kDefaultInferBatch);
 
 /// Metrics of `model` on `dataset` at the 0.5 threshold.
-BinaryMetrics evaluate_metrics(PragFormer& model, const EncodedDataset& dataset,
+BinaryMetrics evaluate_metrics(const PragFormer& model, const EncodedDataset& dataset,
                                std::size_t batch_size = kDefaultInferBatch);
 
 }  // namespace clpp::core

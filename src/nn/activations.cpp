@@ -4,8 +4,8 @@
 
 namespace clpp::nn {
 
-Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
-  input_ = x;
+Tensor ReLU::forward(const Tensor& x, bool train) const {
+  if (train) input_ = x;
   Tensor y = x;
   for (float& v : y.values())
     if (v < 0.0f) v = 0.0f;
@@ -43,8 +43,8 @@ inline float gelu_derivative(float x) {
 }
 }  // namespace
 
-Tensor Gelu::forward(const Tensor& x, bool /*train*/) {
-  input_ = x;
+Tensor Gelu::forward(const Tensor& x, bool train) const {
+  if (train) input_ = x;
   Tensor y = x;
   for (float& v : y.values()) v = gelu_value(v);
   return y;
@@ -65,9 +65,8 @@ Dropout::Dropout(float p, Rng& rng) : p_(p), rng_(&rng) {
   CLPP_CHECK_MSG(p >= 0.0f && p < 1.0f, "dropout rate must be in [0,1), got " << p);
 }
 
-Tensor Dropout::forward(const Tensor& x, bool train) {
-  last_train_ = train && p_ > 0.0f;
-  if (!last_train_) return x;
+Tensor Dropout::forward(const Tensor& x, bool train) const {
+  if (!train || p_ == 0.0f) return x;
   mask_ = Tensor(x.shape());
   const float keep_scale = 1.0f / (1.0f - p_);
   Tensor y = x;
@@ -82,7 +81,7 @@ Tensor Dropout::forward(const Tensor& x, bool train) {
 }
 
 Tensor Dropout::backward(const Tensor& grad_out) {
-  if (!last_train_) return grad_out;
+  if (p_ == 0.0f) return grad_out;
   CLPP_CHECK(grad_out.shape() == mask_.shape());
   Tensor grad_in = grad_out;
   const float* m = mask_.data();

@@ -9,22 +9,22 @@ namespace clpp::nn {
 /// Rectified linear unit (used in PragFormer's FC head, paper §4.3).
 class ReLU : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(const Tensor& x, bool train) const override;
   Tensor backward(const Tensor& grad_out) override;
 
  private:
-  Tensor input_;
+  mutable Tensor input_;
 };
 
 /// Gaussian error linear unit (tanh approximation), used inside the
 /// transformer's position-wise FFN as in RoBERTa.
 class Gelu : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(const Tensor& x, bool train) const override;
   Tensor backward(const Tensor& grad_out) override;
 
  private:
-  Tensor input_;
+  mutable Tensor input_;
 };
 
 /// Inverted dropout: scales surviving activations by 1/(1-p) during
@@ -35,7 +35,7 @@ class Dropout : public Layer {
   /// `rng` must outlive the layer; `p` in [0, 1).
   Dropout(float p, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(const Tensor& x, bool train) const override;
   Tensor backward(const Tensor& grad_out) override;
 
   float rate() const { return p_; }
@@ -43,8 +43,7 @@ class Dropout : public Layer {
  private:
   float p_;
   Rng* rng_;
-  Tensor mask_;      // per-element keep mask scaled by 1/(1-p)
-  bool last_train_ = false;
+  mutable Tensor mask_;  // training forward's keep mask, scaled by 1/(1-p)
 };
 
 }  // namespace clpp::nn

@@ -37,23 +37,20 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(std::string name, std::size_t dim
 
 Tensor MultiHeadSelfAttention::forward(const Tensor& x, std::size_t batch,
                                        std::size_t seq, std::span<const int> lengths,
-                                       bool train) {
+                                       bool train, Tensor* attention) const {
   CLPP_TRACE_SPAN("attention.forward");
   CLPP_CHECK_MSG(x.rank() == 2 && x.cols() == dim_ && x.rows() == batch * seq,
                  "attention input " << x.shape_str() << " incompatible with B=" << batch
                                     << " S=" << seq << " d=" << dim_);
   CLPP_CHECK_MSG(lengths.size() == batch, "one length per sample required");
-  batch_ = batch;
-  seq_ = seq;
-  lengths_.assign(lengths.begin(), lengths.end());
 
-  q_ = q_proj_.forward(x, train);
-  k_ = k_proj_.forward(x, train);
-  v_ = v_proj_.forward(x, train);
+  Tensor q = q_proj_.forward(x, train);
+  Tensor k = k_proj_.forward(x, train);
+  Tensor v = v_proj_.forward(x, train);
 
   const std::size_t dh = head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  probs_ = Tensor({batch * heads_, seq, seq});
+  Tensor probs({batch * heads_, seq, seq});
   Tensor context({batch * seq, dim_});
 
   const std::uint64_t attn_begin_ns = obs::enabled() ? obs::Tracer::now_ns() : 0;
@@ -62,12 +59,12 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, std::size_t batch,
       [&](std::size_t bh) {
         const std::size_t b = bh / heads_;
         const std::size_t h = bh % heads_;
-        const std::size_t len = static_cast<std::size_t>(lengths_[b]);
-        const float* qb = q_.data() + (b * seq) * dim_ + h * dh;
-        const float* kb = k_.data() + (b * seq) * dim_ + h * dh;
-        const float* vb = v_.data() + (b * seq) * dim_ + h * dh;
+        const std::size_t len = static_cast<std::size_t>(lengths[b]);
+        const float* qb = q.data() + (b * seq) * dim_ + h * dh;
+        const float* kb = k.data() + (b * seq) * dim_ + h * dh;
+        const float* vb = v.data() + (b * seq) * dim_ + h * dh;
         float* ctx = context.data() + (b * seq) * dim_ + h * dh;
-        float* pb = probs_.data() + bh * seq * seq;
+        float* pb = probs.data() + bh * seq * seq;
 
         for (std::size_t s = 0; s < seq; ++s) {
           float* prow = pb + s * seq;
@@ -118,6 +115,16 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, std::size_t batch,
         obs::Tracer::now_ns() - attn_begin_ns);
   }
 
+  if (attention != nullptr) *attention = probs;
+  if (train) {
+    batch_ = batch;
+    seq_ = seq;
+    lengths_.assign(lengths.begin(), lengths.end());
+    q_ = std::move(q);
+    k_ = std::move(k);
+    v_ = std::move(v);
+    probs_ = std::move(probs);
+  }
   return o_proj_.forward(context, train);
 }
 

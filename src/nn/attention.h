@@ -18,9 +18,12 @@ class MultiHeadSelfAttention {
  public:
   MultiHeadSelfAttention(std::string name, std::size_t dim, std::size_t heads, Rng& rng);
 
-  /// Forward pass; `lengths.size() == batch`, each in [1, seq].
+  /// Forward pass; `lengths.size() == batch`, each in [1, seq]. When
+  /// `attention` is non-null it receives the attention probabilities,
+  /// rank-3 [B*H, S, S] (interpretability tooling reads them).
   Tensor forward(const Tensor& x, std::size_t batch, std::size_t seq,
-                 std::span<const int> lengths, bool train);
+                 std::span<const int> lengths, bool train,
+                 Tensor* attention = nullptr) const;
 
   /// Backward pass; returns dL/dx.
   Tensor backward(const Tensor& grad_out);
@@ -31,10 +34,6 @@ class MultiHeadSelfAttention {
   std::size_t heads() const { return heads_; }
   std::size_t head_dim() const { return dim_ / heads_; }
 
-  /// Attention probabilities of the last forward: rank-3 [B*H, S, S].
-  /// Exposed for interpretability tooling (attention maps over code tokens).
-  const Tensor& last_probs() const { return probs_; }
-
  private:
   std::size_t dim_;
   std::size_t heads_;
@@ -43,12 +42,12 @@ class MultiHeadSelfAttention {
   Linear v_proj_;
   Linear o_proj_;
 
-  // Cached forward state.
-  std::size_t batch_ = 0;
-  std::size_t seq_ = 0;
-  std::vector<int> lengths_;
-  Tensor q_, k_, v_;  // [B*S, d]
-  Tensor probs_;      // [B*H, S, S]
+  // Training forward's state.
+  mutable std::size_t batch_ = 0;
+  mutable std::size_t seq_ = 0;
+  mutable std::vector<int> lengths_;
+  mutable Tensor q_, k_, v_;  // [B*S, d]
+  mutable Tensor probs_;      // [B*H, S, S]
 };
 
 }  // namespace clpp::nn

@@ -9,8 +9,8 @@ namespace clpp::nn {
 
 /// Maps a TokenBatch to activations [B*S, d] as token_emb[id] + pos_emb[s].
 ///
-/// Not a Layer (its input is ids, not a tensor); exposes the same
-/// forward/backward pairing discipline.
+/// Not a Layer (its input is ids, not a tensor). It keeps no activation
+/// state: backward receives the ids the forward embedded.
 class SequenceEmbedding {
  public:
   SequenceEmbedding(std::string name, std::size_t vocab_size, std::size_t max_seq,
@@ -18,10 +18,11 @@ class SequenceEmbedding {
 
   /// Embeds the batch. Padded positions receive embeddings too; downstream
   /// masking makes them inert.
-  Tensor forward(const TokenBatch& batch);
+  Tensor forward(const TokenBatch& batch) const;
 
-  /// Accumulates gradients into the token/position tables.
-  void backward(const Tensor& grad_out);
+  /// Accumulates gradients into the token/position tables; `batch` is the
+  /// one the forward embedded.
+  void backward(const Tensor& grad_out, const TokenBatch& batch);
 
   void collect_parameters(std::vector<Parameter*>& out);
 
@@ -31,9 +32,6 @@ class SequenceEmbedding {
 
   Parameter token;     // [vocab, dim]
   Parameter position;  // [max_seq, dim]
-
- private:
-  TokenBatch last_;  // cached ids for backward
 };
 
 }  // namespace clpp::nn

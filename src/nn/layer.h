@@ -1,10 +1,15 @@
 // Layer abstraction with explicit forward/backward.
 //
 // CLPP's NN substrate uses layer-wise manual backpropagation rather than a
-// taped autograd: each layer caches exactly the activations its gradient
-// needs, which keeps memory predictable and the code auditable. A layer
-// holds *one* in-flight activation set — callers must pair each forward
-// with at most one backward before the next forward (the trainer does).
+// taped autograd: a training forward (train=true) caches exactly the
+// activations its gradient needs, which keeps memory predictable and the
+// code auditable. A layer holds *one* in-flight activation set — callers
+// must pair each training forward with at most one backward before the
+// next training forward (the trainer does).
+//
+// An evaluation forward (train=false) writes no member: it is a pure
+// function of the weights, so any number of threads may run it on one
+// model at once. Only training needs exclusive access.
 #pragma once
 
 #include <memory>
@@ -37,11 +42,12 @@ class Layer {
   Layer& operator=(const Layer&) = delete;
 
   /// Computes the layer output. `train` enables stochastic behaviour
-  /// (dropout); evaluation passes must use train=false.
-  virtual Tensor forward(const Tensor& x, bool train) = 0;
+  /// (dropout) and records the backward caches; evaluation passes must use
+  /// train=false, which records nothing.
+  virtual Tensor forward(const Tensor& x, bool train) const = 0;
 
   /// Given dL/d(output), accumulates parameter gradients and returns
-  /// dL/d(input). Must follow a forward() on the same activation.
+  /// dL/d(input). Must follow a forward(x, true) on the same activation.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
   /// Appends pointers to this layer's parameters (default: none).

@@ -9,14 +9,14 @@ LayerNorm::LayerNorm(std::string name, std::size_t features, float eps)
       beta(name + ".beta", Tensor({features})),
       eps_(eps) {}
 
-Tensor LayerNorm::forward(const Tensor& x, bool /*train*/) {
+Tensor LayerNorm::forward(const Tensor& x, bool train) const {
   const std::size_t n = gamma.value.dim(0);
   CLPP_CHECK_MSG(x.rank() == 2 && x.cols() == n,
                  "LayerNorm input " << x.shape_str() << " incompatible with features="
                                     << n);
   const std::size_t rows = x.rows();
-  normalized_ = Tensor({rows, n});
-  inv_std_ = Tensor({rows});
+  Tensor normalized({rows, n});
+  Tensor inv_std({rows});
   Tensor y({rows, n});
   const float* g = gamma.value.data();
   const float* b = beta.value.data();
@@ -32,13 +32,17 @@ Tensor LayerNorm::forward(const Tensor& x, bool /*train*/) {
     }
     var /= static_cast<float>(n);
     const float inv = 1.0f / std::sqrt(var + eps_);
-    inv_std_(i) = inv;
-    float* nr = normalized_.row(i);
+    inv_std(i) = inv;
+    float* nr = normalized.row(i);
     float* yr = y.row(i);
     for (std::size_t j = 0; j < n; ++j) {
       nr[j] = (xr[j] - mean) * inv;
       yr[j] = g[j] * nr[j] + b[j];
     }
+  }
+  if (train) {
+    normalized_ = std::move(normalized);
+    inv_std_ = std::move(inv_std);
   }
   return y;
 }

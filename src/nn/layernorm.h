@@ -10,7 +10,7 @@ class LayerNorm : public Layer {
  public:
   LayerNorm(std::string name, std::size_t features, float eps = 1e-5f);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(const Tensor& x, bool train) const override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
@@ -19,8 +19,8 @@ class LayerNorm : public Layer {
 
  private:
   float eps_;
-  Tensor normalized_;  // cached x̂
-  Tensor inv_std_;     // cached 1/σ per row
+  mutable Tensor normalized_;  // training forward's x̂
+  mutable Tensor inv_std_;     // training forward's 1/σ per row
 };
 
 }  // namespace clpp::nn

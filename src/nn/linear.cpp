@@ -20,11 +20,11 @@ Linear::Linear(std::string name, std::size_t in_features, std::size_t out_featur
     : weight(name + ".weight", xavier_uniform(in_features, out_features, rng)),
       bias(name + ".bias", Tensor({out_features})) {}
 
-Tensor Linear::forward(const Tensor& x, bool /*train*/) {
+Tensor Linear::forward(const Tensor& x, bool train) const {
   CLPP_CHECK_MSG(x.rank() == 2 && x.cols() == in_features(),
                  "Linear input " << x.shape_str() << " incompatible with in="
                                  << in_features());
-  input_ = x;
+  if (train) input_ = x;
   Tensor y = matmul(x, weight.value);
   add_row_broadcast(y, bias.value);
   return y;

@@ -13,7 +13,7 @@ class Linear : public Layer {
   /// `name` prefixes parameter names ("<name>.weight", "<name>.bias").
   Linear(std::string name, std::size_t in_features, std::size_t out_features, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(const Tensor& x, bool train) const override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
@@ -24,7 +24,7 @@ class Linear : public Layer {
   Parameter bias;
 
  private:
-  Tensor input_;  // cached forward input
+  mutable Tensor input_;  // training forward's input
 };
 
 }  // namespace clpp::nn

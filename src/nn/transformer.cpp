@@ -26,11 +26,11 @@ TransformerEncoderLayer::TransformerEncoderLayer(std::string name,
 
 Tensor TransformerEncoderLayer::forward(const Tensor& x, std::size_t batch,
                                         std::size_t seq, std::span<const int> lengths,
-                                        bool train) {
+                                        bool train, Tensor* attention) const {
   Tensor h = x;
   {
     Tensor a = ln1_.forward(x, train);
-    a = attn_.forward(a, batch, seq, lengths, train);
+    a = attn_.forward(a, batch, seq, lengths, train, attention);
     a = drop1_.forward(a, train);
     add_inplace(h, a);
   }
@@ -89,22 +89,22 @@ TransformerEncoder::TransformerEncoder(const EncoderConfig& cfg, Rng& rng)
         "encoder.block" + std::to_string(i), cfg, rng));
 }
 
-Tensor TransformerEncoder::forward(const TokenBatch& batch, bool train) {
-  batch_ = batch.batch;
-  seq_ = batch.seq;
-  lengths_ = batch.lengths;
+Tensor TransformerEncoder::forward(const TokenBatch& batch, bool train,
+                                  Tensor* attention) const {
   Tensor h = embedding_.forward(batch);
+  if (train) batch_ = batch;
   h = embed_drop_.forward(h, train);
-  for (auto& block : blocks_) h = block->forward(h, batch_, seq_, lengths_, train);
+  for (const auto& block : blocks_)
+    h = block->forward(h, batch.batch, batch.seq, batch.lengths, train, attention);
   return final_ln_.forward(h, train);
 }
 
 void TransformerEncoder::backward(const Tensor& grad_out) {
-  CLPP_CHECK_MSG(batch_ > 0, "encoder backward without forward");
+  CLPP_CHECK_MSG(batch_.batch > 0, "encoder backward without forward");
   Tensor g = final_ln_.backward(grad_out);
   for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) g = (*it)->backward(g);
   g = embed_drop_.backward(g);
-  embedding_.backward(g);
+  embedding_.backward(g, batch_);
 }
 
 void TransformerEncoder::collect_parameters(std::vector<Parameter*>& out) {

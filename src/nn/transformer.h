@@ -35,13 +35,13 @@ class TransformerEncoderLayer {
  public:
   TransformerEncoderLayer(std::string name, const EncoderConfig& cfg, Rng& rng);
 
+  /// `attention`, when non-null, receives the block's attention
+  /// probabilities (see MultiHeadSelfAttention::forward).
   Tensor forward(const Tensor& x, std::size_t batch, std::size_t seq,
-                 std::span<const int> lengths, bool train);
+                 std::span<const int> lengths, bool train,
+                 Tensor* attention = nullptr) const;
   Tensor backward(const Tensor& grad_out);
   void collect_parameters(std::vector<Parameter*>& out);
-
-  /// Attention sublayer (read access for interpretability tooling).
-  const MultiHeadSelfAttention& attention() const { return attn_; }
 
  private:
   LayerNorm ln1_;
@@ -62,8 +62,11 @@ class TransformerEncoder {
  public:
   TransformerEncoder(const EncoderConfig& cfg, Rng& rng);
 
-  /// Encodes a batch; returns activations [B*S, dim].
-  Tensor forward(const TokenBatch& batch, bool train);
+  /// Encodes a batch; returns activations [B*S, dim]. `attention`, when
+  /// non-null, receives the last block's attention probabilities
+  /// [B*H, S, S].
+  Tensor forward(const TokenBatch& batch, bool train,
+                 Tensor* attention = nullptr) const;
 
   /// Propagates gradients back to all parameters including embeddings.
   void backward(const Tensor& grad_out);
@@ -71,23 +74,13 @@ class TransformerEncoder {
   void collect_parameters(std::vector<Parameter*>& out);
   const EncoderConfig& config() const { return cfg_; }
 
-  /// Encoder block `i` (read access for interpretability tooling).
-  const TransformerEncoderLayer& block(std::size_t i) const {
-    CLPP_CHECK_MSG(i < blocks_.size(), "encoder block index out of range");
-    return *blocks_[i];
-  }
-  std::size_t block_count() const { return blocks_.size(); }
-
  private:
   EncoderConfig cfg_;
   SequenceEmbedding embedding_;
   Dropout embed_drop_;
   std::vector<std::unique_ptr<TransformerEncoderLayer>> blocks_;
   LayerNorm final_ln_;
-  // Geometry of the in-flight batch.
-  std::size_t batch_ = 0;
-  std::size_t seq_ = 0;
-  std::vector<int> lengths_;
+  mutable TokenBatch batch_;  // training forward's ids, for backward
 };
 
 /// Extracts the first-token ([CLS]) row of each sample: [B*S, d] -> [B, d].

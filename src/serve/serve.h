@@ -68,7 +68,7 @@ struct ServeConfig {
   std::uint64_t max_delay_us = 2000;
   /// Bounded-queue capacity; beyond it `overflow` applies.
   std::size_t queue_capacity = 1024;
-  /// Worker threads, each owning a private advisor replica. 0 is accepted
+  /// Worker threads, all serving the server's one advisor. 0 is accepted
   /// (requests queue up but are never served — useful for deterministic
   /// backpressure tests) — shutdown then fails the queued futures.
   std::size_t workers = 1;

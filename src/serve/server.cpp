@@ -43,7 +43,8 @@ Json hist_block(const obs::Histogram& hist) {
 
 InferenceServer::InferenceServer(const core::ParallelAdvisor& advisor,
                                  ServeConfig config)
-    : config_(std::move(config)),
+    : advisor_(advisor),
+      config_(std::move(config)),
       queue_(config_.queue_capacity, config_.overflow),
       result_cache_("serve", config_.cache),
       latency_us_(obs::default_latency_buckets_us()),
@@ -57,14 +58,9 @@ InferenceServer::InferenceServer(const core::ParallelAdvisor& advisor,
   config_.validate();
   if (!advisor.fingerprint().empty())
     insight_.set_reference(advisor.fingerprint());
-  replicas_.reserve(config_.workers);
   workers_.reserve(config_.workers);
   for (std::size_t w = 0; w < config_.workers; ++w)
-    replicas_.push_back(advisor.clone());
-  // Start threads only after every clone exists: a throwing clone must not
-  // leave workers running over a half-built replica vector.
-  for (std::size_t w = 0; w < config_.workers; ++w)
-    workers_.emplace_back([this, w] { worker_loop(*replicas_[w]); });
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 InferenceServer::~InferenceServer() {
@@ -138,25 +134,24 @@ std::future<ServedAdvice> InferenceServer::submit(std::string code,
   return future;
 }
 
-void InferenceServer::worker_loop(core::ParallelAdvisor& advisor) {
+void InferenceServer::worker_loop() {
   obs::Tracer::instance().set_thread_name("serve worker");
   for (;;) {
     std::vector<PendingRequest> batch =
         queue_.pop_batch(config_.max_batch, config_.max_delay_us);
     if (batch.empty()) return;  // queue closed and drained
     if (obs::enabled()) depth_gauge().set(static_cast<double>(queue_.depth()));
-    serve_batch(advisor, batch);
+    serve_batch(batch);
   }
 }
 
-void InferenceServer::serve_batch(core::ParallelAdvisor& advisor,
-                                  std::vector<PendingRequest>& batch) {
+void InferenceServer::serve_batch(std::vector<PendingRequest>& batch) {
   CLPP_TRACE_SPAN_ARG("serve.batch", batch.size());
   obs::flight_record("serve.batch", static_cast<std::int64_t>(batch.size()),
                      static_cast<std::int64_t>(queue_.depth()));
   try {
     resil::fault_point("serve.batch");
-    answer_batch(advisor, batch);
+    answer_batch(batch);
   } catch (const ParseError&) {
     // advise_batch tokenizes every snippet before its first forward pass,
     // so one unparseable snippet throws for all of its batchmates. Fail
@@ -166,7 +161,7 @@ void InferenceServer::serve_batch(core::ParallelAdvisor& advisor,
     std::vector<PendingRequest> tokenized;
     for (PendingRequest& request : batch) {
       try {
-        tokenize::tokenize(request.code, advisor.representation());
+        tokenize::tokenize(request.code, advisor_.representation());
         tokenized.push_back(std::move(request));
       } catch (const ParseError&) {
         std::vector<PendingRequest> one;
@@ -176,7 +171,7 @@ void InferenceServer::serve_batch(core::ParallelAdvisor& advisor,
     }
     if (tokenized.empty()) return;
     try {
-      answer_batch(advisor, tokenized);
+      answer_batch(tokenized);
     } catch (...) {
       fail_batch(tokenized, std::current_exception());
     }
@@ -188,15 +183,14 @@ void InferenceServer::serve_batch(core::ParallelAdvisor& advisor,
   }
 }
 
-void InferenceServer::answer_batch(core::ParallelAdvisor& advisor,
-                                   std::vector<PendingRequest>& batch) {
+void InferenceServer::answer_batch(std::vector<PendingRequest>& batch) {
   const std::uint64_t start_ns = obs::Tracer::now_ns();
   std::vector<std::string> codes;
   codes.reserve(batch.size());
   for (const PendingRequest& request : batch) codes.push_back(request.code);
   core::BatchTiming timing;
   std::vector<core::Advice> advices =
-      advisor.advise_batch(codes, config_.options, &timing);
+      advisor_.advise_batch(codes, config_.options, &timing);
   const std::uint64_t coalesced = timing.coalesced;
 
   const std::uint64_t end_ns = obs::Tracer::now_ns();

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <exception>
 #include <future>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,13 +22,16 @@ class Json;  // support/json.h — needed only by stats_json callers
 
 namespace clpp::serve {
 
-/// Thread-safe serving front end. Construction clones one advisor replica
-/// per worker (inference caches activations, so replicas never share), so
-/// the advisor passed in stays untouched and usable by the caller.
+/// Thread-safe serving front end. Every worker serves the one advisor
+/// passed in: advising writes nothing, so the workers share it, and the
+/// caller may keep advising on it too.
 class InferenceServer {
  public:
+  /// Keeps a reference to `advisor` — it must outlive the server and stay
+  /// unmodified while the server runs.
   explicit InferenceServer(const core::ParallelAdvisor& advisor,
                            ServeConfig config = {});
+  InferenceServer(core::ParallelAdvisor&&, ServeConfig = {}) = delete;
   /// Drains and joins (shutdown()) if the caller has not already.
   ~InferenceServer();
 
@@ -80,24 +82,22 @@ class InferenceServer {
   const ServeConfig& config() const { return config_; }
 
  private:
-  void worker_loop(core::ParallelAdvisor& advisor);
+  void worker_loop();
   /// Answers or fails every request of `batch`. After a `ParseError` the
   /// requests that do not tokenize fail alone and the rest are answered as
   /// one batch; any other failure fails the whole batch.
-  void serve_batch(core::ParallelAdvisor& advisor,
-                   std::vector<PendingRequest>& batch);
+  void serve_batch(std::vector<PendingRequest>& batch);
   /// One advise_batch pass: records its telemetry and resolves every
   /// future, or throws with none resolved.
-  void answer_batch(core::ParallelAdvisor& advisor,
-                    std::vector<PendingRequest>& batch);
+  void answer_batch(std::vector<PendingRequest>& batch);
   void fail_batch(std::vector<PendingRequest>& batch, std::exception_ptr error);
 
+  const core::ParallelAdvisor& advisor_;
   ServeConfig config_;
   RequestQueue queue_;
   /// Result cache (config_.cache; off by default): submit() answers hits
   /// synchronously, serve_batch() inserts each distinct snippet it served.
   cache::ShardedLruCache<core::Advice> result_cache_;
-  std::vector<std::unique_ptr<core::ParallelAdvisor>> replicas_;
   std::vector<std::thread> workers_;
   std::atomic<bool> stopped_{false};
   std::mutex shutdown_mu_;

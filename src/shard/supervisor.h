@@ -1,6 +1,6 @@
 // Shard supervisor: the parent-process side of sharded serving
 // (DESIGN.md §12). It forks N worker processes (shard/worker.h), each
-// hosting one InferenceServer replica behind a UNIX socketpair, and runs a
+// serving the advisor it inherited behind a UNIX socketpair, and runs a
 // single-threaded event loop over those pipes:
 //
 //   submit() — front-end result-cache lookup (a digest hit answers
@@ -91,7 +91,7 @@ class ShardSupervisor {
       std::function<void(std::uint64_t ticket, std::string payload)>;
 
   /// Keeps a reference to `advisor` — it must outlive the supervisor.
-  /// Workers clone their replicas from it after fork.
+  /// Each worker serves its inherited copy-on-write image of it.
   ShardSupervisor(const core::ParallelAdvisor& advisor,
                   SupervisorConfig config);
   /// Closes pipes and reaps every worker (without draining — call drain()

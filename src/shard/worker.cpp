@@ -94,10 +94,7 @@ PendingReply dispatch_request(serve::InferenceServer& server,
     if (request.contains("cmd")) {
       const std::string cmd = request.at("cmd").as_string();
       if (cmd == "stats" || cmd == "quality") {
-        Json reply = Json::object();
-        reply["id"] = pending.id;
-        reply[cmd] = cmd == "stats" ? server.stats_json() : server.quality_json();
-        pending.text = reply.dump();
+        pending.verb = cmd;
       } else {
         pending.text = error_json(pending.id, "unknown cmd: " + cmd).dump();
       }
@@ -111,7 +108,15 @@ PendingReply dispatch_request(serve::InferenceServer& server,
   return pending;
 }
 
-std::string resolve_reply(PendingReply& pending) {
+std::string resolve_reply(const serve::InferenceServer& server,
+                          PendingReply& pending) {
+  if (!pending.verb.empty()) {
+    Json reply = Json::object();
+    reply["id"] = pending.id;
+    reply[pending.verb] =
+        pending.verb == "stats" ? server.stats_json() : server.quality_json();
+    return reply.dump();
+  }
   if (!pending.text.empty()) return std::move(pending.text);
   try {
     return response_json(pending.id, pending.future.get()).dump();
@@ -187,7 +192,7 @@ int run_shard_worker(int fd, const core::ParallelAdvisor& advisor,
     }
     for (PendingReply& pending : replies) {
       Frame reply;
-      reply.payload = resolve_reply(pending);
+      reply.payload = resolve_reply(server, pending);
       if (!write_frame_fd(fd, reply)) return kWorkerErrorExit;
     }
   }

@@ -2,8 +2,10 @@
 // (DESIGN.md §12). After fork, the child calls `run_shard_worker` on its
 // end of the supervisor socketpair and never returns to the caller's code.
 //
-// The worker hosts one `serve::InferenceServer` replica and speaks the
-// frame protocol (shard/frame.h): it blocks for one request frame, drains
+// The worker hosts one `serve::InferenceServer` over the advisor it
+// inherited across fork() — no copy, so the weight pages stay shared
+// copy-on-write with the supervisor — and speaks the frame protocol
+// (shard/frame.h): it blocks for one request frame, drains
 // whatever else already arrived (up to max_batch — a burst on the pipe
 // becomes one micro-batch), submits the lot, and answers in arrival order.
 // EOF on the pipe is the graceful-drain signal: the worker serves what it
@@ -68,28 +70,32 @@ Json error_json(std::int64_t id, const std::string& what);
 Json normalized_verdict(const Json& response);
 
 /// One request between dispatch and reply: `text` holds a reply known at
-/// dispatch (an admin verb's answer or an error), else `future` resolves to
-/// the verdict.
+/// dispatch (an error), `verb` an admin verb ("stats" or "quality") to
+/// answer at reply time, else `future` resolves to the verdict.
 struct PendingReply {
   std::int64_t id = -1;
   std::string text;
+  std::string verb;
   std::future<serve::ServedAdvice> future;
 };
 
 /// Dispatches one request payload (a JSON line or a frame payload):
-/// `{"cmd":"stats"}` and `{"cmd":"quality"}` answer at once from `server`;
-/// any other `cmd`, malformed JSON or a missing `code` is an error reply;
-/// otherwise `code` is submitted with `deadline_ns` (absolute, 0 = none).
+/// `{"cmd":"stats"}` and `{"cmd":"quality"}` record their verb; any other
+/// `cmd`, malformed JSON or a missing `code` is an error reply; otherwise
+/// `code` is submitted with `deadline_ns` (absolute, 0 = none).
 /// `default_id` stands in when the payload carries no "id".
 PendingReply dispatch_request(serve::InferenceServer& server,
                               const std::string& payload,
                               std::int64_t default_id,
                               std::uint64_t deadline_ns);
 
-/// The reply text of `pending`, waiting for its verdict if need be. A
-/// request dropped at its deadline answers `deadline_exceeded`; any other
-/// serving failure answers with its message.
-std::string resolve_reply(PendingReply& pending);
+/// The reply text of `pending`, waiting for its verdict if need be. An
+/// admin verb snapshots `server` now, so replies resolved in dispatch order
+/// count every request dispatched before it. A request dropped at its
+/// deadline answers `deadline_exceeded`; any other serving failure answers
+/// with its message.
+std::string resolve_reply(const serve::InferenceServer& server,
+                          PendingReply& pending);
 
 /// Runs the worker loop until EOF (returns 0) or a fatal protocol/IO error
 /// (returns kWorkerErrorExit). Injected shard.batch faults exit the

@@ -213,10 +213,9 @@ TEST(AdvisorFingerprint, CheckpointRoundTripCarriesTheFingerprint) {
   advisor->set_fingerprint(builder.build());
   ASSERT_FALSE(advisor->fingerprint().empty());
 
-  const core::ParallelAdvisor restored =
-      core::ParallelAdvisor::deserialize(advisor->serialize());
+  const auto restored = advisor->clone();
   const Fingerprint& a = advisor->fingerprint();
-  const Fingerprint& b = restored.fingerprint();
+  const Fingerprint& b = restored->fingerprint();
   EXPECT_EQ(b.samples, a.samples);
   EXPECT_DOUBLE_EQ(b.mean_tokens, a.mean_tokens);
   EXPECT_DOUBLE_EQ(b.mean_loop_depth, a.mean_loop_depth);
@@ -227,9 +226,7 @@ TEST(AdvisorFingerprint, CheckpointRoundTripCarriesTheFingerprint) {
 TEST(AdvisorFingerprint, FingerprintlessAdvisorRoundTripsEmpty) {
   auto advisor = tiny_advisor();
   ASSERT_TRUE(advisor->fingerprint().empty());
-  const core::ParallelAdvisor restored =
-      core::ParallelAdvisor::deserialize(advisor->serialize());
-  EXPECT_TRUE(restored.fingerprint().empty());
+  EXPECT_TRUE(advisor->clone()->fingerprint().empty());
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 //
 // Each check perturbs a sample of parameter entries (and input entries) by
 // ±h, recomputes a scalar loss, and compares the numeric derivative with
-// the analytic gradient produced by backward(). All checks run in
-// deterministic eval mode (no dropout) so central differences are exact up
-// to float noise.
+// the analytic gradient produced by backward(). Every forward is a training
+// forward (only those record what backward reads), and every config has
+// dropout 0, so the loss is deterministic and central differences are exact
+// up to float noise.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -80,7 +81,7 @@ TEST(GradCheck, LinearWeightsBiasInput) {
   Linear layer("fc", 5, 4, rng);
   Tensor x = Tensor::randn({6, 5}, rng);
   WeightedSumLoss loss({6, 4}, rng);
-  auto run = [&] { return loss.value(layer.forward(x, false)); };
+  auto run = [&] { return loss.value(layer.forward(x, true)); };
 
   run();
   for (Parameter* p : params_of(layer)) p->grad.zero();
@@ -101,7 +102,7 @@ TEST(GradCheck, LayerNorm) {
   }
   Tensor x = Tensor::randn({4, 6}, rng);
   WeightedSumLoss loss({4, 6}, rng);
-  auto run = [&] { return loss.value(layer.forward(x, false)); };
+  auto run = [&] { return loss.value(layer.forward(x, true)); };
 
   run();
   layer.gamma.grad.zero();
@@ -118,7 +119,7 @@ TEST(GradCheck, GeluInput) {
   Gelu layer;
   Tensor x = Tensor::randn({3, 5}, rng);
   WeightedSumLoss loss({3, 5}, rng);
-  auto run = [&] { return loss.value(layer.forward(x, false)); };
+  auto run = [&] { return loss.value(layer.forward(x, true)); };
   run();
   const Tensor dx = layer.backward(loss.grad());
   check_entries(x, dx, run, 12, rng, 2e-2, "x");
@@ -132,7 +133,7 @@ TEST(GradCheck, ReluInput) {
   for (float& v : x.values())
     if (std::abs(v) < 0.1f) v = 0.5f;
   WeightedSumLoss loss({3, 5}, rng);
-  auto run = [&] { return loss.value(layer.forward(x, false)); };
+  auto run = [&] { return loss.value(layer.forward(x, true)); };
   run();
   const Tensor dx = layer.backward(loss.grad());
   check_entries(x, dx, run, 12, rng, 2e-2, "x");
@@ -150,7 +151,7 @@ TEST(GradCheck, AttentionInputAndProjections) {
   for (std::size_t s = 3; s < S; ++s)
     for (std::size_t j = 0; j < D; ++j) loss.weights((S + s) * D + j) = 0.0f;
 
-  auto run = [&] { return loss.value(attn.forward(x, B, S, lengths, false)); };
+  auto run = [&] { return loss.value(attn.forward(x, B, S, lengths, true)); };
   run();
   std::vector<Parameter*> params;
   attn.collect_parameters(params);
@@ -179,7 +180,7 @@ TEST(GradCheck, EncoderLayerEndToEnd) {
   for (std::size_t s = 2; s < S; ++s)
     for (std::size_t j = 0; j < cfg.dim; ++j) loss.weights((S + s) * cfg.dim + j) = 0.0f;
 
-  auto run = [&] { return loss.value(block.forward(x, B, S, lengths, false)); };
+  auto run = [&] { return loss.value(block.forward(x, B, S, lengths, true)); };
   run();
   std::vector<Parameter*> params;
   block.collect_parameters(params);
@@ -213,9 +214,9 @@ TEST(GradCheck, FullEncoderWithCrossEntropy) {
 
   SoftmaxCrossEntropy loss;
   auto run = [&] {
-    Tensor hidden = encoder.forward(batch, false);
+    Tensor hidden = encoder.forward(batch, true);
     Tensor pooled = pooled_cls(hidden, batch.batch, batch.seq);
-    Tensor logits = head.forward(pooled, false);
+    Tensor logits = head.forward(pooled, true);
     return loss.forward(logits, labels);
   };
   run();

@@ -41,6 +41,9 @@ TEST(Linear, BackwardBeforeForwardThrows) {
   Rng rng(3);
   Linear layer("fc", 3, 2, rng);
   EXPECT_THROW(layer.backward(Tensor({4, 2})), InvalidArgument);
+  // An evaluation forward records nothing for backward to read.
+  layer.forward(Tensor({4, 3}), false);
+  EXPECT_THROW(layer.backward(Tensor({4, 2})), InvalidArgument);
 }
 
 TEST(LayerNorm, NormalizesRows) {
@@ -57,6 +60,13 @@ TEST(LayerNorm, NormalizesRows) {
     EXPECT_NEAR(mean, 0.0f, 1e-4f);
     EXPECT_NEAR(var, 1.0f, 1e-2f);
   }
+}
+
+TEST(LayerNorm, BackwardAfterEvalForwardThrows) {
+  Rng rng(4);
+  LayerNorm ln("ln", 8);
+  ln.forward(Tensor::randn({5, 8}, rng), false);
+  EXPECT_THROW(ln.backward(Tensor({5, 8})), InvalidArgument);
 }
 
 TEST(Dropout, IdentityInEval) {
@@ -129,7 +139,7 @@ TEST(Embedding, GradAccumulatesPerToken) {
   batch.lengths = {3};
   emb.forward(batch);
   Tensor grad = Tensor::full({3, 2}, 1.0f);
-  emb.backward(grad);
+  emb.backward(grad, batch);
   EXPECT_FLOAT_EQ(emb.token.grad(2, 0), 2.0f);  // token 2 appears twice
   EXPECT_FLOAT_EQ(emb.token.grad(4, 0), 1.0f);
   EXPECT_FLOAT_EQ(emb.token.grad(0, 0), 0.0f);
@@ -163,8 +173,8 @@ TEST(Attention, ProbabilitiesRowsSumToOne) {
   MultiHeadSelfAttention attn("a", 8, 4, rng);
   const Tensor x = Tensor::randn({6, 8}, rng);
   const std::vector<int> lengths = {6};
-  attn.forward(x, 1, 6, lengths, false);
-  const Tensor& probs = attn.last_probs();
+  Tensor probs;
+  attn.forward(x, 1, 6, lengths, true, &probs);
   EXPECT_EQ(probs.shape(), (std::vector<std::size_t>{4, 6, 6}));
   for (std::size_t h = 0; h < 4; ++h)
     for (std::size_t s = 0; s < 6; ++s) {
@@ -172,6 +182,18 @@ TEST(Attention, ProbabilitiesRowsSumToOne) {
       for (std::size_t t = 0; t < 6; ++t) total += probs(h, s, t);
       EXPECT_NEAR(total, 1.0f, 1e-5f);
     }
+  // An evaluation forward hands back the same map.
+  Tensor eval_probs;
+  attn.forward(x, 1, 6, lengths, false, &eval_probs);
+  EXPECT_TRUE(eval_probs.allclose(probs, 0.0f));
+}
+
+TEST(Attention, BackwardAfterEvalForwardThrows) {
+  Rng rng(13);
+  MultiHeadSelfAttention attn("a", 8, 4, rng);
+  const std::vector<int> lengths = {6};
+  attn.forward(Tensor::randn({6, 8}, rng), 1, 6, lengths, false);
+  EXPECT_THROW(attn.backward(Tensor({6, 8})), InvalidArgument);
 }
 
 TEST(Attention, RejectsIndivisibleHeads) {

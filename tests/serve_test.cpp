@@ -7,6 +7,7 @@
 // the suite fast enough for the TSan CI job that runs it on every push.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -26,6 +27,7 @@
 #include "resil/fault.h"
 #include "serve/queue.h"
 #include "serve/server.h"
+#include "shard/worker.h"
 #include "support/json.h"
 
 namespace clpp::serve {
@@ -145,6 +147,36 @@ TEST(AdvisorClone, CloneBehavesIdentically) {
   const auto copy = advisor->clone();
   for (const std::string& code : snippets())
     expect_same_advice(copy->advise(code), advisor->advise(code), code);
+}
+
+TEST(AdvisorSharing, ThreadsShareOneAdvisor) {
+  // Advising writes nothing, so threads serve one advisor at once. Each
+  // thread advises a differently rotated copy of the snippets per round, so
+  // concurrent batches differ in order and bucket composition.
+  const auto advisor = tiny_advisor();
+  const std::vector<std::string>& codes = snippets();
+  const std::vector<Advice> reference = advisor->advise_batch(codes);
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRounds = 5;  // small: the TSan job runs this too
+  std::vector<std::vector<std::vector<Advice>>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        std::vector<std::string> rotated(codes.size());
+        std::rotate_copy(codes.begin(), codes.begin() + (t + r) % codes.size(),
+                         codes.end(), rotated.begin());
+        results[t].push_back(advisor->advise_batch(rotated));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t)
+    for (std::size_t r = 0; r < kRounds; ++r)
+      for (std::size_t i = 0; i < codes.size(); ++i) {
+        const std::size_t original = (i + t + r) % codes.size();
+        expect_same_advice(results[t][r][i], reference[original], codes[original]);
+      }
 }
 
 TEST(ServeConfigTest, MaxBatchSharesTheInferBatchConstant) {
@@ -597,6 +629,31 @@ TEST(ServerTest, QualityJsonRoundTripsLiveInsight) {
             checked);
   EXPECT_GE(disagreement.at("rate").as_double(), 0.0);
   EXPECT_LE(disagreement.at("rate").as_double(), 1.0);
+}
+
+TEST(ServerTest, StatsVerbCountsEveryEarlierRequest) {
+  const auto advisor = tiny_advisor();
+  ServeConfig config;
+  config.max_delay_us = 200'000;  // the three loops wait in one batch window
+  InferenceServer server(*advisor, config);
+  std::vector<shard::PendingReply> pending;
+  for (std::int64_t id = 1; id <= 3; ++id) {
+    Json request = Json::object();
+    request["code"] = snippets()[static_cast<std::size_t>(id)];
+    pending.push_back(shard::dispatch_request(server, request.dump(), id, 0));
+  }
+  pending.push_back(
+      shard::dispatch_request(server, R"({"cmd":"stats"})", 4, 0));
+  std::vector<std::string> replies;
+  for (shard::PendingReply& reply : pending)
+    replies.push_back(shard::resolve_reply(server, reply));
+
+  // Resolved in dispatch order, the stats reply counts the three loops
+  // answered before it.
+  const Json stats = Json::parse(replies[3]);
+  EXPECT_EQ(stats.at("id").as_int(), 4);
+  EXPECT_EQ(stats.at("stats").at("completed").as_int(), 3);
+  EXPECT_EQ(stats.at("stats").at("queue_depth").as_int(), 0);
 }
 
 TEST(RequestQueueTest, PopBatchHonorsMaxBatch) {
