@@ -38,6 +38,7 @@
 
 #include "cache/cache.h"
 #include "core/advisor.h"
+#include "prof/sampler.h"
 #include "shard/client.h"
 #include "shard/listener.h"
 #include "shard/supervisor.h"
@@ -252,6 +253,9 @@ int main(int argc, char** argv) {
   const char* omp_threads = std::getenv("OMP_NUM_THREADS");
   if (omp_threads == nullptr || std::strcmp(omp_threads, "1") != 0) {
     ::setenv("OMP_NUM_THREADS", "1", 1);
+    // ITIMER_PROF survives exec: disarm the sampler CLPP_FLAME_OUT started,
+    // or a SIGPROF could kill the new image before it installs a handler.
+    prof::Sampler::instance().stop();
     ::execv("/proc/self/exe", argv);
     std::perror("shard_scaling_bench: re-exec with OMP_NUM_THREADS=1");
     return 1;
@@ -386,14 +390,7 @@ int main(int argc, char** argv) {
     const std::string text = report.dump();
     const std::string out = parser.get_string("out");
     if (!out.empty()) {
-      std::FILE* f = std::fopen(out.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s\n", out.c_str());
-        return 1;
-      }
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
+      write_cli_output(out, text + "\n");
     } else {
       std::printf("%s\n", text.c_str());
     }

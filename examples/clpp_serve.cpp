@@ -62,7 +62,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/cache.h"
 #include "core/advisor.h"
 #include "insight/drift.h"
 #include "serve/server.h"
@@ -205,12 +204,7 @@ Json report_loadgen(const char* label, std::size_t total, double seconds,
 }
 
 void write_stats_artifact(const std::string& path, const Json& report) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) throw IoError("cannot open stats-out file: " + path);
-  const std::string text = report.dump();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
+  write_cli_output(path, report.dump() + "\n");
   std::fprintf(stderr, "loadgen stats written to %s\n", path.c_str());
 }
 
@@ -401,9 +395,8 @@ int main(int argc, char** argv) {
   parser.add_flag("reject", "shed load when the queue is full instead of blocking");
   parser.add_flag("no-analysis", "skip dependence-analyzer clause naming");
   parser.add_flag("no-compar", "skip the ComPar comparison column");
-  parser.add_int("cache-cap", -1,
-                 "result-cache entries (front end + per shard; 0 disables, "
-                 "-1 = CLPP_CACHE_CAP env or off)");
+  parser.add_int("cache-cap", 0,
+                 "result-cache entries (front end + per shard; 0 disables)");
   parser.add_int("loadgen", 0, "run a load generator for N requests instead of stdin");
   parser.add_int("concurrency", 32, "closed-loop clients for --loadgen");
   parser.add_flag("sequential", "loadgen baseline: single-request advise() loop");
@@ -449,11 +442,9 @@ int main(int argc, char** argv) {
     // One knob, two cache sites: the same capacity configures the in-process
     // (per-shard) result cache and, in --listen mode, the supervisor's
     // cross-connection front-end cache.
-    cache::CacheConfig cache_config = cache::CacheConfig::from_env(0);
     const std::int64_t cache_cap = parser.get_int("cache-cap");
-    if (cache_cap >= 0)
-      cache_config.max_entries = static_cast<std::size_t>(cache_cap);
-    config.cache = cache_config;
+    if (cache_cap < 0) throw InvalidArgument("--cache-cap must be >= 0");
+    config.cache.max_entries = static_cast<std::size_t>(cache_cap);
     config.validate();
 
     const auto total = static_cast<std::size_t>(parser.get_int("loadgen"));
@@ -486,7 +477,7 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(parser.get_int("max-inflight"));
       sup.admission.default_deadline_ms =
           static_cast<std::uint32_t>(parser.get_int("deadline-ms"));
-      sup.cache = cache_config;
+      sup.cache = config.cache;
       sup.flight_dir = parser.get_string("flight-dir");
       shard::ListenerConfig listen;
       listen.port = static_cast<std::uint16_t>(parser.get_int("port"));

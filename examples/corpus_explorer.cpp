@@ -5,12 +5,15 @@
 //
 // Prints Table-3-style statistics, one sample record per family, and the
 // four representations of the first positive record.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "codegen/generator.h"
-#include "support/histogram.h"
+#include "obs/metrics.h"
 #include "support/strings.h"
 #include "tokenize/representation.h"
 
@@ -31,13 +34,23 @@ int main(int argc, char** argv) {
 
   // Snippet length distribution (drives the max_len choice of §4.3: the
   // paper picked 110 because it was the longest snippet in its corpus).
-  Histogram lengths(0, 120, 12);
+  // Ten-token bins; the last one holds every snippet of 110 tokens or more.
+  std::vector<double> bounds;
+  for (int edge = 10; edge <= 110; edge += 10) bounds.push_back(edge);
+  obs::Histogram lengths(bounds);
   for (const auto& record : corpus.records())
-    lengths.add(static_cast<double>(
+    lengths.record_always(static_cast<double>(
         tokenize::tokenize(record.code, tokenize::Representation::kText).size()));
-  std::printf("Text token count distribution (mean %.1f, p95 %.0f, max %.0f):\n%s\n",
-              lengths.mean(), lengths.quantile(0.95), lengths.max(),
-              lengths.ascii().c_str());
+  std::printf("Text token count distribution (mean %.1f, p95 %.0f, max %.0f):\n",
+              lengths.mean(), lengths.quantile(0.95), lengths.max());
+  const std::vector<std::uint64_t> bins = lengths.bucket_counts();
+  const std::uint64_t peak =
+      std::max<std::uint64_t>(1, *std::max_element(bins.begin(), bins.end()));
+  for (std::size_t b = 0; b < bins.size(); ++b)
+    std::printf("%9.1f | %s %llu\n", b == 0 ? 0.0 : bounds[b - 1],
+                repeated("#", bins[b] * 40 / peak).c_str(),
+                static_cast<unsigned long long>(bins[b]));
+  std::printf("\n");
 
   // One sample per family.
   std::map<std::string, const corpus::Record*> samples;

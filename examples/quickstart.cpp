@@ -17,7 +17,6 @@
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "prof/flops.h"
-#include "prof/prof.h"
 
 int main() {
   using namespace clpp;
@@ -75,23 +74,21 @@ int main() {
   std::printf("== metrics ==\n%s\n", obs::metrics().summary().c_str());
   std::printf("== spans ==\n%s\n", obs::Tracer::instance().summary().c_str());
 
-  // With CLPP_PROF=1 the run also collected roofline numbers per kernel
-  // and a sampled flamegraph (see prof/prof.h for the env knobs).
-  if (prof::enabled()) {
-    std::printf("== profiling ==\n");
-    for (const char* kernel : {"gemm", "attention", "attention.backward"}) {
-      const prof::KernelCounters& kc = prof::kernel_counters(kernel);
-      const std::uint64_t wall_ns = kc.wall_ns.value();
-      if (wall_ns == 0) continue;
-      std::printf("  %-20s %8.2f GFLOP/s aggregate  (%.2f flops/byte)\n", kernel,
-                  static_cast<double>(kc.flops.value()) /
-                      static_cast<double>(wall_ns),
-                  static_cast<double>(kc.flops.value()) /
-                      static_cast<double>(kc.bytes.value()));
-    }
-    std::printf("  flamegraph: %s (flamegraph.pl or speedscope.app)\n\n",
-                prof::flame_out().c_str());
+  // The kernels also accounted their FLOPs and bytes: achieved roofline
+  // numbers per kernel. CLPP_FLAME_OUT=PATH adds a sampled flamegraph of the
+  // run (flamegraph.pl or speedscope.app).
+  std::printf("== profiling ==\n");
+  for (const char* kernel : {"gemm", "attention", "attention.backward"}) {
+    const prof::KernelCounters& kc = prof::kernel_counters(kernel);
+    const std::uint64_t wall_ns = kc.wall_ns.value();
+    if (wall_ns == 0) continue;
+    std::printf("  %-20s %8.2f GFLOP/s aggregate  (%.2f flops/byte)\n", kernel,
+                static_cast<double>(kc.flops.value()) /
+                    static_cast<double>(wall_ns),
+                static_cast<double>(kc.flops.value()) /
+                    static_cast<double>(kc.bytes.value()));
   }
+  std::printf("\n");
 
   obs::export_configured_outputs();
   std::printf("trace:   quickstart_trace.json (chrome://tracing)\n");

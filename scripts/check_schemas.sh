@@ -56,6 +56,19 @@ CLPP_OBS=1 CLPP_METRICS_STREAM="$OUT_DIR/metrics_stream.jsonl" \
   "$BIN/clpp-serve" --random-model --no-analysis --no-compar \
   --loadgen 32 --concurrency 4 --stats-out "$OUT_DIR/loadgen.json" >/dev/null
 
+# An artifact that cannot be written must fail the run: /dev/full accepts
+# the open and refuses the flush.
+if "$BIN/clpp-serve" --random-model --no-analysis --no-compar \
+  --loadgen 8 --concurrency 2 --stats-out /dev/full >/dev/null 2>&1; then
+  echo "check_schemas: clpp-serve --stats-out /dev/full exited 0" >&2
+  exit 1
+fi
+if "$BUILD_DIR/bench/shard_scaling_bench" --points 1 --requests 4 \
+  --dup-requests 4 --concurrency 2 --out /dev/full >/dev/null 2>&1; then
+  echo "check_schemas: shard_scaling_bench --out /dev/full exited 0" >&2
+  exit 1
+fi
+
 # clpp.flight.v1 — the CLI fatal boundary (report_cli_error) dumps the
 # flight recorder when a dump path is armed; a usage error is the cheapest
 # deterministic fatal.

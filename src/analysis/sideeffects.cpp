@@ -10,17 +10,6 @@ namespace clpp::analysis {
 using frontend::Node;
 using frontend::NodeKind;
 
-std::string call_effect_name(CallEffect effect) {
-  switch (effect) {
-    case CallEffect::kPure: return "pure";
-    case CallEffect::kWritesArgs: return "writes-args";
-    case CallEffect::kAllocates: return "allocates";
-    case CallEffect::kIo: return "io";
-    case CallEffect::kUnknown: return "unknown";
-  }
-  return "unknown";
-}
-
 CallEffect worse(CallEffect a, CallEffect b) {
   return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
 }
@@ -59,19 +48,9 @@ SideEffectOracle::SideEffectOracle(const Node& unit) {
   });
 }
 
-bool SideEffectOracle::has_local_body(const std::string& name) const {
-  return bodies_.count(name) > 0;
-}
-
 CallEffect SideEffectOracle::effect_of(const std::string& name) const {
   std::vector<std::string> in_progress;
   return classify(name, in_progress);
-}
-
-CallEffect SideEffectOracle::worst_effect(const std::vector<std::string>& names) const {
-  CallEffect effect = CallEffect::kPure;
-  for (const std::string& name : names) effect = worse(effect, effect_of(name));
-  return effect;
 }
 
 CallEffect SideEffectOracle::classify(const std::string& name,

@@ -25,8 +25,6 @@ enum class CallEffect {
   kUnknown,      // no body available and not whitelisted
 };
 
-std::string call_effect_name(CallEffect effect);
-
 /// Side-effect oracle over a snippet: knows whitelisted library functions
 /// and analyzes locally defined functions (FuncDef nodes in the unit).
 class SideEffectOracle {
@@ -37,12 +35,6 @@ class SideEffectOracle {
 
   /// Effect of calling `name`.
   CallEffect effect_of(const std::string& name) const;
-
-  /// Worst effect among `names` (kPure when empty).
-  CallEffect worst_effect(const std::vector<std::string>& names) const;
-
-  /// True if the function's body was found in the snippet.
-  bool has_local_body(const std::string& name) const;
 
   /// True if `name` is on the built-in pure whitelist (libm etc.).
   static bool is_whitelisted_pure(const std::string& name);

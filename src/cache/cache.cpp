@@ -1,34 +1,8 @@
 #include "cache/cache.h"
 
-#include <cstdlib>
-
 #include "support/json.h"
 
 namespace clpp::cache {
-
-namespace {
-
-/// Parses a non-negative size knob; returns `fallback` when unset or not a
-/// clean number (a typo'd knob should not silently disable the cache).
-bool env_size(const char* name, std::size_t* out) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
-}
-
-}  // namespace
-
-CacheConfig CacheConfig::from_env(std::size_t default_entries) {
-  CacheConfig config;
-  config.max_entries = default_entries;
-  env_size("CLPP_CACHE_CAP", &config.max_entries);
-  env_size("CLPP_CACHE_BYTES", &config.max_bytes);
-  return config;
-}
 
 Json cache_stats_json(const CacheStats& stats, const CacheConfig& config) {
   Json out = Json::object();

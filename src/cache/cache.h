@@ -13,6 +13,9 @@
 // budgets and evicts its own LRU tail; the worst-case over-admission vs a
 // global LRU is one shard's share, which is noise at the configured sizes.
 //
+// Configuration: `CacheConfig` only, which reads no environment;
+// clpp-serve's `--cache-cap N` sets `max_entries` (default 0, off).
+//
 // Telemetry: per-instance atomics feed stats()/stats_json() (always on),
 // and `clpp.cache.<name>.{hits,misses,insertions,evictions}` counters plus
 // a `clpp.cache.<name>.bytes` gauge mirror them into the global registry
@@ -47,11 +50,6 @@ struct CacheConfig {
   std::size_t lock_shards = 8;
 
   bool enabled() const { return max_entries > 0; }
-
-  /// Reads the `CLPP_CACHE_CAP` (entries; "0" disables) and
-  /// `CLPP_CACHE_BYTES` knobs, falling back to `default_entries` and the
-  /// struct default when unset or unparseable.
-  static CacheConfig from_env(std::size_t default_entries);
 };
 
 /// Monotonic counters + current occupancy snapshot.

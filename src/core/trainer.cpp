@@ -12,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "prof/counters.h"
-#include "prof/prof.h"
 #include "resil/resil.h"
 #include "support/stopwatch.h"
 #include "tensor/ops.h"

@@ -4,12 +4,6 @@ namespace clpp::nn {
 
 void Layer::collect_parameters(std::vector<Parameter*>&) {}
 
-std::vector<Parameter*> parameters_of(Layer& layer) {
-  std::vector<Parameter*> out;
-  layer.collect_parameters(out);
-  return out;
-}
-
 std::size_t parameter_count(const std::vector<Parameter*>& params) {
   std::size_t n = 0;
   for (const Parameter* p : params) n += p->numel();

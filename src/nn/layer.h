@@ -54,9 +54,6 @@ class Layer {
   virtual void collect_parameters(std::vector<Parameter*>& out);
 };
 
-/// Collects parameters from a layer into a fresh vector.
-std::vector<Parameter*> parameters_of(Layer& layer);
-
 /// Total number of scalar parameters.
 std::size_t parameter_count(const std::vector<Parameter*>& params);
 

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -15,10 +16,6 @@
 #include "support/json.h"
 
 namespace clpp::obs {
-
-namespace detail {
-std::atomic<bool> g_flight_enabled{true};
-}  // namespace detail
 
 namespace {
 
@@ -105,12 +102,7 @@ ThreadRing& ring_for_this_thread() {
 
 }  // namespace
 
-void set_flight_enabled(bool on) {
-  detail::g_flight_enabled.store(on, std::memory_order_relaxed);
-}
-
 void flight_record(const char* kind, std::int64_t a, std::int64_t b) {
-  if (!flight_enabled()) return;
   ThreadRing& ring = ring_for_this_thread();
   const std::uint64_t i = ring.count.load(std::memory_order_relaxed);
   Slot& slot = ring.slots[i % kFlightCapacity];
@@ -175,7 +167,6 @@ bool flight_dump_on_fault() {
 
 bool dump_flight(const std::string& reason) noexcept {
   try {
-    if (!flight_enabled()) return false;
     const std::string path = flight_out();
     if (path.empty()) return false;
     const std::string text = flight_json(reason).dump();
@@ -252,7 +243,6 @@ struct RawWriter {
 }  // namespace
 
 bool dump_flight_async_safe(const char* reason) noexcept {
-  if (!flight_enabled()) return false;
   if (g_crash_path[0] == '\0') return false;
   const int fd =
       ::open(g_crash_path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);

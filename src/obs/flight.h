@@ -3,7 +3,7 @@
 // fatally wrong — so a crash ships its recent history instead of nothing.
 //
 // Unlike the span tracer (off by default, per-span timing), the flight
-// recorder is *on* by default and records point events, not durations:
+// recorder is always on and records point events, not durations:
 //
 //   obs::flight_record("serve.batch", batch_size);   // ~3 relaxed stores
 //
@@ -24,13 +24,12 @@
 //     async-signal-safe path (`dump_flight_async_safe`: write(2) only, no
 //     locks, no allocation) before re-raising with default disposition.
 //
-// Environment: CLPP_FLIGHT=0 disables recording; CLPP_FLIGHT_OUT=PATH sets
-// the dump destination (default "clpp_flight.json") and additionally arms
-// dump-on-injected-fault; CLPP_FLIGHT_SIGNALS=0 leaves the signal handlers
-// uninstalled.
+// Environment: CLPP_FLIGHT_OUT=PATH sets the dump destination (default
+// "clpp_flight.json") and additionally arms dump-on-injected-fault.
+// Recording and the signal handlers have no off switch.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -42,15 +41,6 @@ namespace clpp::obs {
 
 /// Slots per recording thread (the "last ~4k events" guarantee).
 inline constexpr std::size_t kFlightCapacity = 4096;
-
-namespace detail {
-extern std::atomic<bool> g_flight_enabled;
-}  // namespace detail
-
-inline bool flight_enabled() {
-  return detail::g_flight_enabled.load(std::memory_order_relaxed);
-}
-void set_flight_enabled(bool on);
 
 /// Records one event on the calling thread's ring. `kind` must be a string
 /// literal; `a`/`b` are free-form numeric payload (sizes, ids, arrivals).
@@ -69,8 +59,8 @@ std::string flight_out();
 bool flight_dump_on_fault();
 
 /// Writes `flight_json(reason)` to `flight_out()`. Never throws; returns
-/// false (and stays silent) when disabled or the write fails — the dump
-/// path runs inside crash handling, which must not crash.
+/// false (and stays silent) when the path is empty or the write fails — the
+/// dump path runs inside crash handling, which must not crash.
 bool dump_flight(const std::string& reason) noexcept;
 
 /// Async-signal-safe variant: writes a `clpp.flight.v1` document to the

@@ -9,7 +9,7 @@
 // cache the returned reference (e.g. in a function-local static).
 //
 // Naming convention: `clpp.<subsystem>.<name>`, e.g. `clpp.train.loss`,
-// `clpp.infer.latency_us`, `clpp.tensor.gemm_calls`.
+// `clpp.infer.latency_us`, `clpp.prof.gemm.calls`.
 #pragma once
 
 #include <array>

@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/stream.h"
 #include "obs/trace.h"
+#include "prof/sampler.h"
 #include "support/cli.h"
 #include "support/error.h"
 #include "support/json.h"
@@ -30,22 +31,38 @@ std::string& metrics_out_path() {
   return path;
 }
 
-// Temp + rename (no clpp_resil here — resil layers on top of obs). A crash
-// mid-export never clobbers a previously exported metrics file.
+std::string& flame_out_path() {
+  static std::string path;
+  return path;
+}
+
+// Temp + rename (no clpp_resil here — resil layers on top of obs): a crash
+// or a full disk mid-export never clobbers a previously exported file.
 void write_text_file(const std::string& path, const std::string& text) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) throw IoError("cannot open output file: " + tmp);
   const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
   const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != text.size() || !flushed) {
+  const bool closed = std::fclose(f) == 0;
+  if (written != text.size() || !flushed || !closed) {
     std::remove(tmp.c_str());
     throw IoError("short write to output file: " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     throw IoError("cannot rename into place: " + path);
+  }
+}
+
+// One failed export must not cost the others.
+template <typename Render>
+void export_file(const std::string& path, Render render) {
+  if (path.empty()) return;
+  try {
+    write_text_file(path, render());
+  } catch (const Error& e) {
+    std::fprintf(stderr, "clpp::obs: export failed: %s\n", e.what());
   }
 }
 
@@ -58,8 +75,10 @@ void register_exit_export() {
   // atexit callbacks in reverse registration order).
   trace_out_path();
   metrics_out_path();
+  flame_out_path();
   metrics();
   Tracer::instance();
+  prof::Sampler::instance();
   std::atexit(export_configured_outputs);
   registered = true;
 }
@@ -81,15 +100,23 @@ void set_metrics_out(std::string path) {
   if (!metrics_out_path().empty()) register_exit_export();
 }
 
+void set_flame_out(std::string path) {
+  flame_out_path() = std::move(path);
+  if (flame_out_path().empty()) return;
+  register_exit_export();
+  prof::Sampler& sampler = prof::Sampler::instance();
+  if (!sampler.running()) sampler.start();
+}
+
 void export_configured_outputs() {
-  try {
-    if (!trace_out_path().empty())
-      Tracer::instance().write_chrome_trace(trace_out_path());
-    if (!metrics_out_path().empty())
-      write_text_file(metrics_out_path(), metrics().to_json().dump());
-  } catch (const Error& e) {
-    std::fprintf(stderr, "clpp::obs: export failed: %s\n", e.what());
-  }
+  export_file(trace_out_path(),
+              [] { return Tracer::instance().chrome_trace().dump(); });
+  export_file(metrics_out_path(), [] { return metrics().to_json().dump(); });
+  if (flame_out_path().empty()) return;
+  prof::Sampler& sampler = prof::Sampler::instance();
+  sampler.stop();
+  if (sampler.samples() > 0)
+    export_file(flame_out_path(), [&] { return sampler.collapsed(); });
 }
 
 void init_from_env() {
@@ -97,15 +124,12 @@ void init_from_env() {
     set_enabled(v[0] != '\0' && v[0] != '0');
   if (const char* v = std::getenv("CLPP_TRACE_OUT")) set_trace_out(v);
   if (const char* v = std::getenv("CLPP_METRICS_OUT")) set_metrics_out(v);
+  if (const char* v = std::getenv("CLPP_FLAME_OUT")) set_flame_out(v);
   if (const char* v = std::getenv("CLPP_LOG_LEVEL"))
     set_log_level(parse_log_level(v));
   if (const char* v = std::getenv("CLPP_LOG_OUT")) set_log_path(v);
-  if (const char* v = std::getenv("CLPP_FLIGHT"))
-    set_flight_enabled(v[0] != '\0' && v[0] != '0');
   if (const char* v = std::getenv("CLPP_FLIGHT_OUT")) set_flight_out(v);
-  const char* signals = std::getenv("CLPP_FLIGHT_SIGNALS");
-  if (signals == nullptr || (signals[0] != '\0' && signals[0] != '0'))
-    install_crash_handlers();
+  install_crash_handlers();
   if (const char* v = std::getenv("CLPP_METRICS_STREAM")) {
     std::uint64_t interval_ms = 500;
     if (const char* ms = std::getenv("CLPP_METRICS_STREAM_MS")) {

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include "support/error.h"
 #include "support/json.h"
 #include "support/table.h"
 
@@ -231,24 +229,6 @@ Json Tracer::chrome_trace() const {
   doc["traceEvents"] = std::move(events);
   doc["displayTimeUnit"] = "ms";
   return doc;
-}
-
-void Tracer::write_chrome_trace(const std::string& path) const {
-  const std::string text = chrome_trace().dump();
-  // Temp + rename so a crash mid-export never truncates an earlier trace.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) throw IoError("cannot open trace output file: " + tmp);
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) {
-    std::remove(tmp.c_str());
-    throw IoError("short write to trace file: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw IoError("cannot rename trace file into place: " + path);
-  }
 }
 
 std::string Tracer::summary() const {

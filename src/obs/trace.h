@@ -53,9 +53,6 @@ class Tracer {
   /// event currently held in the ring buffers.
   Json chrome_trace() const;
 
-  /// Writes `chrome_trace()` to `path` (throws IoError on failure).
-  void write_chrome_trace(const std::string& path) const;
-
   /// Per-span aggregate table: count, total/mean/min/max milliseconds,
   /// sorted by total time descending.
   std::string summary() const;

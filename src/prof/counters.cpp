@@ -160,10 +160,8 @@ void CounterGroup::close_hardware() { leader_fd_ = -1; }
 
 #endif
 
-CounterGroup::CounterGroup() {
-  const CounterMode mode = counter_mode();
-  if (mode == CounterMode::kAuto || mode == CounterMode::kHardware)
-    open_hardware();
+CounterGroup::CounterGroup(bool try_hardware) {
+  if (try_hardware) open_hardware();
 }
 
 CounterGroup::~CounterGroup() { close_hardware(); }
@@ -199,17 +197,8 @@ CounterSample CounterGroup::read() const {
 }
 
 CounterGroup& CounterGroup::this_thread() {
-  struct Slot {
-    std::unique_ptr<CounterGroup> group;
-    CounterMode mode = CounterMode::kAuto;
-  };
-  thread_local Slot slot;
-  const CounterMode mode = counter_mode();
-  if (!slot.group || slot.mode != mode) {
-    slot.group = std::make_unique<CounterGroup>();
-    slot.mode = mode;
-  }
-  return *slot.group;
+  thread_local CounterGroup group;
+  return group;
 }
 
 CounterSet& counter_set(const std::string& scope) {
@@ -233,9 +222,7 @@ CounterSet& counter_set(const std::string& scope) {
 }
 
 ScopedCounters::ScopedCounters(CounterSet& set)
-    : set_(set),
-      active_(prof::enabled() && obs::enabled() &&
-              counter_mode() != CounterMode::kOff) {
+    : set_(set), active_(obs::enabled()) {
   if (active_) begin_ = CounterGroup::this_thread().read();
 }
 

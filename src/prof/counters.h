@@ -10,16 +10,18 @@
 // Every `CounterSample` carries both families, plus `hardware` telling you
 // whether the cycle/instruction fields are real.
 //
-// The RAII entry point pairs a region with the span tracer:
+// The RAII entry point is a counter scope, active whenever `CLPP_OBS=1`
+// (obs/obs.h):
 //
 //   void step(...) {
-//     CLPP_PROF_COUNTERS("train.epoch");   // trace span + counter scope
+//     prof::ScopedCounters scope(prof::counter_set("train.epoch"));
 //     ...
 //   }
 //
 // On scope exit the delta is recorded under `clpp.prof.<name>.*`: counters
-// cycles / instructions / cache_references / cache_misses / branch_misses /
-// wall_ns / cpu_ns, and gauges ipc / cache_miss_rate / cpu_util.
+// samples / hw_samples / cycles / instructions / cache_references /
+// cache_misses / branch_misses / wall_ns / cpu_ns, and gauges ipc /
+// cache_miss_rate / cpu_util.
 #pragma once
 
 #include <array>
@@ -27,8 +29,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "prof/prof.h"
 
 namespace clpp::prof {
 
@@ -64,12 +64,14 @@ struct CounterSample {
   double cpu_utilization() const;
 };
 
-/// A per-thread counter group. Construction applies the global
-/// `prof::counter_mode()`; `hardware()` reports whether perf events opened.
-/// Reads are cheap (one read(2) on the group fd plus three clock reads).
+/// A per-thread counter group; `hardware()` reports whether perf events
+/// opened. Reads are cheap (one read(2) on the group fd plus three clock
+/// reads).
 class CounterGroup {
  public:
-  CounterGroup();
+  /// `try_hardware` false skips perf_event_open and keeps the group on the
+  /// software family (tests pin the fallback with it).
+  explicit CounterGroup(bool try_hardware = true);
   ~CounterGroup();
   CounterGroup(const CounterGroup&) = delete;
   CounterGroup& operator=(const CounterGroup&) = delete;
@@ -80,8 +82,7 @@ class CounterGroup {
   /// Samples every counter now.
   CounterSample read() const;
 
-  /// The calling thread's lazily constructed group. Reopened transparently
-  /// when `prof::set_counter_mode` changed since construction.
+  /// The calling thread's lazily constructed group.
   static CounterGroup& this_thread();
 
  private:
@@ -116,8 +117,8 @@ struct CounterSet {
 CounterSet& counter_set(const std::string& scope);
 
 /// RAII counter region: samples the thread's group on entry, records the
-/// delta into `set` on exit. Inactive (two relaxed loads) unless both
-/// prof and obs are enabled and the counter mode is not kOff.
+/// delta into `set` on exit. Inactive (one relaxed load) unless obs is
+/// enabled.
 class ScopedCounters {
  public:
   explicit ScopedCounters(CounterSet& set);
@@ -136,15 +137,3 @@ class ScopedCounters {
 };
 
 }  // namespace clpp::prof
-
-/// Opens a trace span *and* a hardware-counter scope named `name` (must be
-/// a string literal); the span↔counter pairing means every counted region
-/// is also visible on the Perfetto timeline under the same name.
-#define CLPP_PROF_COUNTERS(name)                                               \
-  static ::clpp::prof::CounterSet& CLPP_OBS_CONCAT(clpp_prof_cset_,            \
-                                                   __LINE__) =                 \
-      ::clpp::prof::counter_set(name);                                         \
-  ::clpp::obs::TraceSpan CLPP_OBS_CONCAT(clpp_prof_span_, __LINE__){name};     \
-  ::clpp::prof::ScopedCounters CLPP_OBS_CONCAT(clpp_prof_scope_, __LINE__) {   \
-    CLPP_OBS_CONCAT(clpp_prof_cset_, __LINE__)                                 \
-  }

@@ -4,17 +4,7 @@
 #include <memory>
 #include <mutex>
 
-#include "prof/prof.h"
-
 namespace clpp::prof {
-
-namespace {
-// Instrumented kernels (gemm, attention) are the widest-linked entry point
-// into clpp_prof; referencing init_from_env here drags the prof.cpp object
-// — and with it the CLPP_PROF* env initializer and sampler startup — into
-// every binary that instruments a kernel, not just those using counters.
-[[maybe_unused]] const bool g_env_linked = (init_from_env(), true);
-}  // namespace
 
 KernelCounters& kernel_counters(const std::string& kernel) {
   static std::mutex mu;

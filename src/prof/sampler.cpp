@@ -257,13 +257,4 @@ std::string Sampler::collapsed() const { return {}; }
 
 #endif
 
-void Sampler::write_collapsed(const std::string& path) const {
-  const std::string text = collapsed();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) throw IoError("cannot open flame output file: " + path);
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) throw IoError("short write to flame file: " + path);
-}
-
 }  // namespace clpp::prof

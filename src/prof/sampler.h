@@ -13,6 +13,8 @@
 // one line per unique stack (root first, leaf last), ready for
 // flamegraph.pl or https://speedscope.app. On platforms without
 // <execinfo.h> `start` returns false and the sampler stays inert.
+// `CLPP_FLAME_OUT=PATH` starts it at process start and writes `collapsed()`
+// to PATH at exit (obs/obs.h).
 //
 // `StackCollapser` is the aggregation half factored out for testability:
 // feed it symbolized stacks, get the collapsed text back, parse it again.
@@ -54,8 +56,9 @@ class Sampler {
  public:
   static Sampler& instance();
 
-  /// Arms the profiler at `hz` samples per CPU-second. Returns false when
-  /// already running, hz is invalid, or the platform lacks backtrace
+  /// Arms the profiler at `hz` samples per CPU-second; the default is
+  /// prime, so the timer does not beat against periodic work. Returns false
+  /// when already running, hz is invalid, or the platform lacks backtrace
   /// support. Capacity is fixed; samples beyond it are counted as dropped.
   bool start(int hz = 97);
 
@@ -72,9 +75,6 @@ class Sampler {
 
   /// Symbolizes and aggregates everything captured so far.
   std::string collapsed() const;
-
-  /// Writes `collapsed()` to `path` (throws IoError on failure).
-  void write_collapsed(const std::string& path) const;
 
  private:
   Sampler() = default;

@@ -79,7 +79,7 @@ struct ServeConfig {
   /// `submit` answers a repeated snippet from the cache without spending a
   /// queue slot or a forward pass. Off by default (max_entries == 0) so the
   /// batching/coalescing pipeline stays byte-for-byte unchanged unless a
-  /// caller opts in (clpp-serve wires `CLPP_CACHE_CAP` / `--cache-cap`).
+  /// caller opts in (clpp-serve wires `--cache-cap`).
   cache::CacheConfig cache{};
 
   /// Throws InvalidArgument on nonsensical settings.

@@ -66,7 +66,7 @@ struct SupervisorConfig {
   /// snippets consume no token-bucket slot and no in-flight slot — cheap
   /// repeat traffic can never be shed, and the quota protects exactly the
   /// expensive (inference) work. Off by default (max_entries == 0);
-  /// clpp-serve wires `--cache-cap` / `CLPP_CACHE_CAP` into it.
+  /// clpp-serve wires `--cache-cap` into it.
   cache::CacheConfig cache{};
   /// Directory for per-shard flight-recorder dumps ("" = no dumps). Each
   /// worker generation dumps to shard<i>.gen<g>.flight.jsonl on a crash

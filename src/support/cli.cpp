@@ -1,7 +1,9 @@
 #include "support/cli.h"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "support/error.h"
@@ -144,6 +146,18 @@ int report_cli_error(const std::string& program, const std::exception& error) {
   if (const FatalHook hook = g_fatal_hook.load(std::memory_order_acquire))
     hook();
   return 2;
+}
+
+void write_cli_output(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr)
+    throw IoError("cannot open " + path + ": " + std::strerror(errno));
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
+                  std::fflush(f) == 0;
+  const int write_errno = errno;
+  if (std::fclose(f) != 0 || !ok)
+    throw IoError("cannot write " + path + ": " +
+                  std::strerror(ok ? errno : write_errno));
 }
 
 }  // namespace clpp

@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace clpp {
@@ -67,6 +68,12 @@ class ArgParser {
 /// ("io_error", "parse_error", "invalid_argument", "error") or "exception"
 /// for foreign std::exceptions.
 int report_cli_error(const std::string& program, const std::exception& error);
+
+/// Writes a CLI artifact (`--out`, `--stats-out`) to `path` in place,
+/// checking the write, the flush and the close; throws IoError naming the
+/// cause. No temp file and rename, so a device path is written through,
+/// never replaced.
+void write_cli_output(const std::string& path, std::string_view text);
 
 /// Callback invoked by `report_cli_error` after printing the diagnostic.
 /// clpp::obs installs one at process start that dumps the flight recorder,

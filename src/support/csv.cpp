@@ -30,18 +30,6 @@ void CsvWriter::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void CsvWriter::add_row_numeric(const std::vector<double>& row) {
-  std::vector<std::string> fields;
-  fields.reserve(row.size());
-  for (double v : row) {
-    std::ostringstream os;
-    os.precision(6);
-    os << v;
-    fields.push_back(os.str());
-  }
-  add_row(std::move(fields));
-}
-
 std::string CsvWriter::str() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < header_.size(); ++i) {

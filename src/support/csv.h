@@ -15,9 +15,6 @@ class CsvWriter {
   /// Appends one row; must have the same arity as the header.
   void add_row(std::vector<std::string> row);
 
-  /// Convenience: formats doubles with 6 significant digits.
-  void add_row_numeric(const std::vector<double>& row);
-
   std::size_t row_count() const { return rows_.size(); }
 
   /// Renders the whole document.

@@ -35,12 +35,6 @@ std::uint64_t read_u64(std::istream& in) {
 
 void write_u32(std::ostream& out, std::uint32_t v) { write_raw(out, &v, sizeof v); }
 
-std::uint32_t read_u32(std::istream& in) {
-  std::uint32_t v = 0;
-  read_raw(in, &v, sizeof v);
-  return v;
-}
-
 void write_f32(std::ostream& out, float v) { write_raw(out, &v, sizeof v); }
 
 float read_f32(std::istream& in) {

@@ -40,7 +40,6 @@ std::string read_string(std::istream& in);
 void write_u64(std::ostream& out, std::uint64_t v);
 std::uint64_t read_u64(std::istream& in);
 void write_u32(std::ostream& out, std::uint32_t v);
-std::uint32_t read_u32(std::istream& in);
 void write_f32(std::ostream& out, float v);
 float read_f32(std::istream& in);
 void write_f64(std::ostream& out, double v);

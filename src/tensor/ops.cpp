@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "prof/flops.h"
 #include "support/parallel.h"
@@ -109,12 +108,6 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a, bool trans_
   // once, read-modify-write C) — reports clpp.prof.gemm.{gflops,...}.
   CLPP_PROF_KERNEL("gemm", 2ull * d.m * d.n * d.k,
                    sizeof(float) * (d.m * d.k + d.k * d.n + 2 * d.m * d.n));
-  if (obs::enabled()) {
-    static obs::Counter& calls = obs::metrics().counter("clpp.tensor.gemm_calls");
-    static obs::Counter& flops = obs::metrics().counter("clpp.tensor.gemm_flops");
-    calls.add(1);
-    flops.add(2ull * d.m * d.n * d.k);
-  }
   CLPP_CHECK_MSG(c.rank() == 2 && c.dim(0) == d.m && c.dim(1) == d.n,
                  "gemm output shape " << c.shape_str() << " does not match ["
                                       << d.m << "x" << d.n << "]");
@@ -212,19 +205,6 @@ void softmax_rows_masked(Tensor& x, std::span<const int> valid) {
     for (std::size_t j = 0; j < len; ++j) row[j] *= inv;
     for (std::size_t j = len; j < n; ++j) row[j] = 0.0f;
   }
-}
-
-void apply(Tensor& x, const std::function<float(float)>& f) {
-  for (float& v : x.values()) v = f(v);
-}
-
-void mul_inplace(Tensor& y, const Tensor& x) {
-  CLPP_CHECK_MSG(y.shape() == x.shape(),
-                 "mul shape mismatch: " << y.shape_str() << " vs " << x.shape_str());
-  float* yd = y.data();
-  const float* xd = x.data();
-  const std::size_t n = y.numel();
-  for (std::size_t i = 0; i < n; ++i) yd[i] *= xd[i];
 }
 
 std::size_t argmax(std::span<const float> row) {

@@ -5,7 +5,7 @@
 // loop (auto-vectorizable), and parallelizes the outer loop with OpenMP.
 #pragma once
 
-#include <functional>
+#include <span>
 
 #include "tensor/tensor.h"
 
@@ -43,12 +43,6 @@ void softmax_rows(Tensor& x);
 /// Like softmax_rows, but positions j >= valid[i] of row i receive
 /// probability 0 (used for padded attention). valid[i] must be >= 1.
 void softmax_rows_masked(Tensor& x, std::span<const int> valid);
-
-/// Applies f to every element in place.
-void apply(Tensor& x, const std::function<float(float)>& f);
-
-/// Elementwise product: y *= x (same shape).
-void mul_inplace(Tensor& y, const Tensor& x);
 
 /// Returns the index of the maximum element of a rank-1 tensor / row span.
 std::size_t argmax(std::span<const float> row);

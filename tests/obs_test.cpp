@@ -417,14 +417,6 @@ TEST_F(ObsTest, FlightRecorderRingKeepsNewestAndCountsDrops) {
   obs::reset_flight();
 }
 
-TEST_F(ObsTest, FlightRecorderDisableIsAFastPathNoop) {
-  obs::reset_flight();
-  obs::set_flight_enabled(false);
-  obs::flight_record("test.off");
-  obs::set_flight_enabled(true);
-  EXPECT_EQ(obs::flight_recorded(), 0u);
-}
-
 TEST_F(ObsTest, MetricsStreamerEmitsDeltaLines) {
   const std::string path = ::testing::TempDir() + "clpp_obs_stream_test.jsonl";
   std::remove(path.c_str());

@@ -1,13 +1,16 @@
 // clpp::prof — counter groups (software fallback and auto mode), scoped
-// counter metrics, collapsed-stack aggregation, the sampling profiler,
-// FLOP/byte kernel accounting, and profdiff regression gating.
+// counter metrics, collapsed-stack aggregation, the sampling profiler and
+// its CLPP_FLAME_OUT switch, FLOP/byte kernel accounting, and profdiff
+// regression gating.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,7 +19,6 @@
 #include "obs/obs.h"
 #include "prof/counters.h"
 #include "prof/flops.h"
-#include "prof/prof.h"
 #include "prof/profdiff.h"
 #include "prof/sampler.h"
 #include "support/error.h"
@@ -32,28 +34,22 @@ class ProfTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::set_enabled(true);
-    prof::set_enabled(true);
-    prof::set_counter_mode(prof::CounterMode::kSoftware);
     obs::metrics().reset();
   }
-  void TearDown() override {
-    prof::set_counter_mode(prof::CounterMode::kAuto);
-    prof::set_enabled(false);
-    obs::set_enabled(false);
-  }
+  void TearDown() override { obs::set_enabled(false); }
 
   /// Burns thread CPU time until both wall and cpu clocks visibly advance.
-  static void burn_cpu() {
+  static void burn_cpu(int ms = 2) {
     const auto t0 = std::chrono::steady_clock::now();
     volatile double sink = 0.0;
-    while (std::chrono::steady_clock::now() - t0 < std::chrono::milliseconds(2))
+    while (std::chrono::steady_clock::now() - t0 < std::chrono::milliseconds(ms))
       sink = sink + std::sqrt(2.0);
   }
 };
 
 TEST_F(ProfTest, SoftwareFallbackCounterRead) {
-  prof::CounterGroup& group = prof::CounterGroup::this_thread();
-  EXPECT_FALSE(group.hardware());  // mode forced to kSoftware in SetUp
+  const prof::CounterGroup group(/*try_hardware=*/false);
+  EXPECT_FALSE(group.hardware());
   const prof::CounterSample begin = group.read();
   burn_cpu();
   const prof::CounterSample d = group.read().delta_since(begin);
@@ -67,7 +63,6 @@ TEST_F(ProfTest, SoftwareFallbackCounterRead) {
 
 TEST_F(ProfTest, AutoModeNeverThrows) {
   // In containers perf_event_open may be blocked; auto must degrade, not die.
-  prof::set_counter_mode(prof::CounterMode::kAuto);
   prof::CounterGroup& group = prof::CounterGroup::this_thread();
   const prof::CounterSample begin = group.read();
   burn_cpu();
@@ -89,18 +84,25 @@ TEST_F(ProfTest, ScopedCountersRecordMetrics) {
   EXPECT_EQ(set.samples.value(), 1u);
   EXPECT_GT(set.wall_ns.value(), 0u);
   EXPECT_GT(set.cpu_ns.value(), 0u);
-  EXPECT_EQ(set.hw_samples.value(), 0u);  // software mode
+  EXPECT_EQ(set.hw_samples.value(),
+            prof::CounterGroup::this_thread().hardware() ? 1u : 0u);
 }
 
-TEST_F(ProfTest, ScopedCountersInactiveWhenModeOff) {
-  prof::set_counter_mode(prof::CounterMode::kOff);
-  prof::CounterSet& set = prof::counter_set("prof_test.off");
+TEST_F(ProfTest, ObsAloneActivatesScopedCounters) {
+  // CLPP_OBS=1 is the one switch: counter scopes have no flag of their own.
+  prof::CounterSet& set = prof::counter_set("prof_test.obs_only");
+  obs::set_enabled(false);
   {
     prof::ScopedCounters scope(set);
     EXPECT_FALSE(scope.active());
+  }
+  obs::set_enabled(true);
+  {
+    prof::ScopedCounters scope(set);
+    EXPECT_TRUE(scope.active());
     burn_cpu();
   }
-  EXPECT_EQ(set.samples.value(), 0u);
+  EXPECT_EQ(set.samples.value(), 1u);
 }
 
 TEST_F(ProfTest, StackCollapserRoundTrip) {
@@ -145,14 +147,36 @@ TEST_F(ProfTest, SamplerCapturesBusyLoop) {
   for (const auto& [stack, count] : parsed) total += count;
   EXPECT_GT(total, 0u);
   EXPECT_LE(total, sampler.samples());
-
-  const std::string path = "prof_test_flame.folded";
-  sampler.write_collapsed(path);
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good());
-  in.close();
-  std::remove(path.c_str());
   sampler.reset();
+}
+
+TEST_F(ProfTest, FlameOutEnvStartsSamplerAndExportsStacks) {
+  prof::Sampler& sampler = prof::Sampler::instance();
+  ASSERT_FALSE(sampler.running());
+  if (!sampler.start()) GTEST_SKIP() << "no backtrace support";
+  sampler.stop();
+  sampler.reset();
+
+  const std::string path = ::testing::TempDir() + "prof_test_env.folded";
+  std::remove(path.c_str());
+  ::setenv("CLPP_FLAME_OUT", path.c_str(), 1);
+  obs::init_from_env();
+  ::unsetenv("CLPP_FLAME_OUT");
+  EXPECT_TRUE(sampler.running());
+
+  burn_cpu(100);
+  obs::export_configured_outputs();  // stops the sampler, writes the stacks
+  EXPECT_FALSE(sampler.running());
+  if (sampler.samples() > 0) {
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good());
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_FALSE(prof::StackCollapser::parse(text.str()).empty());
+  }
+  obs::set_flame_out("");
+  sampler.reset();
+  std::remove(path.c_str());
 }
 
 TEST_F(ProfTest, GemmFlopAccounting) {

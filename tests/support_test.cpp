@@ -15,7 +15,6 @@
 
 #include "support/cli.h"
 #include "support/csv.h"
-#include "support/histogram.h"
 #include "support/json.h"
 #include "support/parallel.h"
 #include "support/plot.h"
@@ -447,56 +446,6 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   timer.reset();
   EXPECT_LT(timer.seconds(), 1.0);
   EXPECT_GE(timer.millis(), 0.0);
-}
-
-TEST(HistogramTest, CountsAndMoments) {
-  Histogram h(0, 10, 10);
-  h.add_all({1, 2, 3, 4, 5});
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 5.0);
-}
-
-TEST(HistogramTest, OutOfRangeClampsToEdgeBins) {
-  Histogram h(0, 10, 10);
-  h.add(-100);
-  h.add(1000);
-  EXPECT_EQ(h.bins().front(), 1u);
-  EXPECT_EQ(h.bins().back(), 1u);
-  // True extrema are still reported.
-  EXPECT_DOUBLE_EQ(h.min(), -100.0);
-  EXPECT_DOUBLE_EQ(h.max(), 1000.0);
-}
-
-TEST(HistogramTest, QuantilesAreMonotone) {
-  Histogram h(0, 100, 50);
-  Rng rng(42);
-  for (int i = 0; i < 5000; ++i) h.add(rng.uniform(0.0f, 100.0f));
-  const double q25 = h.quantile(0.25);
-  const double q50 = h.quantile(0.50);
-  const double q90 = h.quantile(0.90);
-  EXPECT_LT(q25, q50);
-  EXPECT_LT(q50, q90);
-  EXPECT_NEAR(q50, 50.0, 5.0);  // uniform distribution median
-}
-
-TEST(HistogramTest, AsciiRendersEveryBin) {
-  Histogram h(0, 4, 4);
-  h.add_all({0.5, 1.5, 1.6, 2.5});
-  const std::string art = h.ascii(10);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 4);
-  EXPECT_NE(art.find('#'), std::string::npos);
-}
-
-TEST(HistogramTest, RejectsBadConstructionAndEmptyQuantile) {
-  EXPECT_THROW(Histogram(5, 5), InvalidArgument);
-  EXPECT_THROW(Histogram(0, 1, 0), InvalidArgument);
-  Histogram empty(0, 1);
-  EXPECT_THROW(empty.quantile(0.5), InvalidArgument);
-  Histogram h(0, 1);
-  h.add(0.5);
-  EXPECT_THROW(h.quantile(1.5), InvalidArgument);
 }
 
 TEST(Table, NumFormatsFixedDigits) {
