@@ -36,7 +36,8 @@ cmake --build "$BUILD_DIR" -j \
   shard_scaling_bench >/dev/null
 
 BIN="$BUILD_DIR/examples"
-REPORT="$(cd "$BIN" && pwd)/clpp-report"
+BIN_ABS="$(cd "$BIN" && pwd)"
+REPORT="$BIN_ABS/clpp-report"
 mkdir -p "$OUT_DIR"
 
 echo "== generating artifacts =="
@@ -76,6 +77,27 @@ CLPP_FLIGHT_OUT="$OUT_DIR/flight.json" \
   "$BIN/clpp-insight" --realworld corpus/realworld >/dev/null 2>&1 || true
 test -s "$OUT_DIR/flight.json" || {
   echo "check_schemas: fatal path produced no flight dump" >&2; exit 1; }
+
+# Unarmed, a usage error reads as one and writes nothing: in an empty
+# directory each CLI exits with its usage code on an unknown option (2;
+# clpp-serve exits 1 on every error), prints no internal check text and
+# leaves the directory empty.
+empty=$(mktemp -d)
+for entry in clpp-insight:2 clpp-lint:2 clpp-report:2 clpp-serve:1; do
+  tool=${entry%:*}
+  rc=0
+  (cd "$empty" && env -u CLPP_FLIGHT_OUT "$BIN_ABS/$tool" --no-such-flag) \
+    > /dev/null 2> "$OUT_DIR/usage.err" || rc=$?
+  left=$(ls -A "$empty")
+  if [ "$rc" != "${entry#*:}" ] || grep -q CLPP_CHECK "$OUT_DIR/usage.err" ||
+     [ -n "$left" ]; then
+    echo "check_schemas: $tool --no-such-flag exited $rc, left '$left':" >&2
+    cat "$OUT_DIR/usage.err" >&2
+    rm -rf "$empty"
+    exit 1
+  fi
+done
+rmdir "$empty"
 
 # clpp.shard_loadgen.v1 — socket loadgen against a small sharded front end;
 # the front end's stdout is the bare clpp.shard_stats.v1 stats document it

@@ -69,24 +69,14 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x, std::size_t batch,
         for (std::size_t s = 0; s < seq; ++s) {
           float* prow = pb + s * seq;
           const float* qrow = qb + s * dim_;
-          // Scores over valid keys only.
-          float mx = -1e30f;
+          // Scores over valid keys only; padded keys keep probability 0.
           for (std::size_t t = 0; t < len; ++t) {
             const float* krow = kb + t * dim_;
             float acc = 0.0f;
             for (std::size_t j = 0; j < dh; ++j) acc += qrow[j] * krow[j];
-            acc *= scale;
-            prow[t] = acc;
-            mx = std::max(mx, acc);
+            prow[t] = acc * scale;
           }
-          float total = 0.0f;
-          for (std::size_t t = 0; t < len; ++t) {
-            prow[t] = std::exp(prow[t] - mx);
-            total += prow[t];
-          }
-          const float inv = 1.0f / total;
-          for (std::size_t t = 0; t < len; ++t) prow[t] *= inv;
-          for (std::size_t t = len; t < seq; ++t) prow[t] = 0.0f;
+          softmax_row({prow, len});
 
           float* crow = ctx + s * dim_;
           for (std::size_t j = 0; j < dh; ++j) crow[j] = 0.0f;

@@ -41,8 +41,7 @@ struct FlightState {
   std::mutex mu;  // guards ring registration, reset, and the dump path
   std::vector<std::unique_ptr<ThreadRing>> rings;
   std::atomic<std::uint64_t> reset_generation{0};
-  std::string out_path = "clpp_flight.json";
-  std::atomic<bool> dump_on_fault{false};
+  std::string out_path;  // empty: CLI fatal and injected-fault dumps unarmed
 };
 
 FlightState& state() {
@@ -152,17 +151,12 @@ void set_flight_out(std::string path) {
   std::lock_guard<std::mutex> lock(s.mu);
   s.out_path = std::move(path);
   mirror_crash_path(s.out_path);
-  s.dump_on_fault.store(!s.out_path.empty(), std::memory_order_relaxed);
 }
 
 std::string flight_out() {
   FlightState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
   return s.out_path;
-}
-
-bool flight_dump_on_fault() {
-  return state().dump_on_fault.load(std::memory_order_relaxed);
 }
 
 bool dump_flight(const std::string& reason) noexcept {

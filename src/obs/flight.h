@@ -14,19 +14,18 @@
 // the worst concurrent-wrap artifact is one mixed-field event.
 //
 // Dump triggers:
-//   - the CLI fatal boundary (`clpp::report_cli_error`) via the fatal hook
-//     obs installs at process start;
-//   - clpp::resil injected faults, when a dump path has been configured
-//     (`CLPP_FLIGHT_OUT` / `set_flight_out`) — fault-injection runs opt in
-//     so ordinary resilience tests don't spray artifacts;
+//   - the CLI fatal boundary (`clpp::report_cli_error`, via the fatal hook
+//     obs installs at process start) and clpp::resil injected faults, when
+//     a dump path is armed (`CLPP_FLIGHT_OUT` / `set_flight_out`) — runs
+//     opt in, so a usage error or a resilience test writes no file;
 //   - fatal signals (SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL) via the
 //     handlers obs installs at process start, which take the
 //     async-signal-safe path (`dump_flight_async_safe`: write(2) only, no
 //     locks, no allocation) before re-raising with default disposition.
 //
-// Environment: CLPP_FLIGHT_OUT=PATH sets the dump destination (default
-// "clpp_flight.json") and additionally arms dump-on-injected-fault.
-// Recording and the signal handlers have no off switch.
+// Environment: CLPP_FLIGHT_OUT=PATH arms the dump destination (unarmed,
+// the signal handlers write "clpp_flight.json"). Recording and the signal
+// handlers have no off switch.
 #pragma once
 
 #include <cstddef>
@@ -51,12 +50,11 @@ void flight_record(const char* kind, std::int64_t a = 0, std::int64_t b = 0);
 ///  "events":[{"ts_us":...,"tid":T,"kind":"...","a":...,"b":...}]}.
 Json flight_json(const std::string& reason);
 
-/// Where `dump_flight` writes. Setting a path (programmatically or via
-/// CLPP_FLIGHT_OUT) also arms dumping on injected resil faults.
+/// Where `dump_flight` and the signal handlers write. Empty until set
+/// (programmatically or via CLPP_FLIGHT_OUT): `dump_flight` is then unarmed
+/// and the signal handlers write "clpp_flight.json".
 void set_flight_out(std::string path);
 std::string flight_out();
-/// True once a dump path was explicitly configured (not just defaulted).
-bool flight_dump_on_fault();
 
 /// Writes `flight_json(reason)` to `flight_out()`. Never throws; returns
 /// false (and stays silent) when the path is empty or the write fails — the

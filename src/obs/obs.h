@@ -18,8 +18,8 @@
 //                           97 Hz and write collapsed stacks here at exit
 //   CLPP_LOG_LEVEL=debug|info|warn|error|off   structured-log threshold
 //   CLPP_LOG_OUT=PATH       JSON-lines log sink (default stderr)
-//   CLPP_FLIGHT_OUT=PATH    flight-recorder crash-dump destination; also
-//                           arms dumping on injected resil faults (flight.h)
+//   CLPP_FLIGHT_OUT=PATH    flight-recorder dump destination; arms dumps on
+//                           CLI fatal errors and injected faults (flight.h)
 //   CLPP_METRICS_STREAM=PATH        stream metrics deltas as JSON lines
 //   CLPP_METRICS_STREAM_MS=500      streaming interval (stream.h)
 #pragma once

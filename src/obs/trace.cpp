@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "support/json.h"
@@ -23,21 +24,20 @@ constexpr std::size_t kDefaultThreadCapacity = 1 << 17;
 // pays for one chunk, not the full ring — eager full-ring allocation made
 // thread churn under tracing ~100x more expensive than the spans themselves.
 constexpr std::size_t kChunkEvents = 1 << 12;
+
+// Static initialization runs on the process's main thread.
+const std::thread::id g_main_thread = std::this_thread::get_id();
 }
 
 struct Tracer::ThreadBuffer {
   explicit ThreadBuffer(std::uint32_t id, std::size_t ring_capacity)
-      : tid(id), name(default_name(id)), capacity(ring_capacity),
+      : tid(id), capacity(ring_capacity),
         chunks((ring_capacity + kChunkEvents - 1) / kChunkEvents) {
     for (auto& chunk : chunks) chunk.store(nullptr, std::memory_order_relaxed);
   }
 
   ~ThreadBuffer() {
     for (auto& chunk : chunks) delete[] chunk.load(std::memory_order_relaxed);
-  }
-
-  static std::string default_name(std::uint32_t id) {
-    return id == 0 ? "main" : "thread-" + std::to_string(id);
   }
 
   /// Writer-side slot lookup: allocates the chunk on first touch. Only the
@@ -124,8 +124,13 @@ Tracer::ThreadBuffer& Tracer::buffer_for_this_thread() {
     std::lock_guard<std::mutex> lock(impl_->mu);
     const std::size_t capacity =
         impl_->thread_capacity.load(std::memory_order_relaxed);
-    // A reset abandoned this thread's old buffer; make it adoptable too.
-    if (slot.buffer != nullptr) impl_->retired.push_back(slot.buffer);
+    // A reset abandoned this thread's old buffer; make it adoptable too,
+    // and keep the thread's name.
+    std::string name;
+    if (slot.buffer != nullptr) {
+      name = slot.buffer->name;
+      impl_->retired.push_back(slot.buffer);
+    }
     ThreadBuffer* adopted = nullptr;
     while (!impl_->retired.empty() && adopted == nullptr) {
       ThreadBuffer* candidate = impl_->retired.back();
@@ -135,7 +140,6 @@ Tracer::ThreadBuffer& Tracer::buffer_for_this_thread() {
     }
     if (adopted != nullptr) {
       adopted->count.store(0, std::memory_order_relaxed);
-      adopted->name = ThreadBuffer::default_name(adopted->tid);
       slot.buffer = adopted;
     } else {
       auto buffer = std::make_unique<ThreadBuffer>(
@@ -143,6 +147,11 @@ Tracer::ThreadBuffer& Tracer::buffer_for_this_thread() {
       slot.buffer = buffer.get();
       impl_->buffers.push_back(std::move(buffer));
     }
+    if (name.empty())
+      name = std::this_thread::get_id() == g_main_thread
+                 ? "main"
+                 : "thread-" + std::to_string(slot.buffer->tid);
+    slot.buffer->name = std::move(name);
     slot.generation = generation;
   }
   return *slot.buffer;

@@ -61,7 +61,8 @@ class Tracer {
   std::uint64_t recorded() const;
   std::uint64_t dropped() const;
 
-  /// Clears all buffered events and the recorded/dropped accounting.
+  /// Clears all buffered events and the recorded/dropped accounting. Each
+  /// thread keeps its name.
   void reset();
 
   /// Ring capacity (events) given to each newly registered thread.
@@ -69,7 +70,8 @@ class Tracer {
 
   /// Names the calling thread in trace exports (Chrome `thread_name`
   /// metadata, so Perfetto timelines read "main" / "parallel_for worker"
-  /// instead of bare tids). Registers the thread's buffer if needed.
+  /// instead of bare tids). Registers the thread's buffer if needed. An
+  /// unnamed thread exports as "main" (the main thread) or "thread-<tid>".
   void set_thread_name(std::string name);
 
   /// Monotonic counter bumped by every `reset` (used by callers caching

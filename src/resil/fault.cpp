@@ -52,8 +52,7 @@ bool arm_seam(const char* seam) {
   // An injected fault models a production failure about to unwind the
   // stack: when a dump destination is configured, ship the flight recorder
   // *before* throwing so the artifact exists even if nothing catches.
-  if (obs::flight_dump_on_fault())
-    obs::dump_flight(std::string("resil.fault:") + seam);
+  obs::dump_flight(std::string("resil.fault:") + seam);
   return true;
 }
 

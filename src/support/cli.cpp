@@ -66,30 +66,31 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       has_value = true;
     }
     auto it = options_.find(name);
-    CLPP_CHECK_MSG(it != options_.end(), "unknown option --" << name);
+    if (it == options_.end()) throw InvalidArgument("unknown option --" + name);
     Option& opt = it->second;
     if (opt.kind == Kind::kFlag) {
       opt.value = has_value ? value : "true";
-      CLPP_CHECK_MSG(opt.value == "true" || opt.value == "false",
-                     "--" << name << " expects true/false");
+      if (opt.value != "true" && opt.value != "false")
+        throw InvalidArgument("--" + name + " expects true/false, got '" + value + "'");
       continue;
     }
     if (!has_value) {
-      CLPP_CHECK_MSG(i + 1 < argc, "--" << name << " expects a value");
+      if (i + 1 >= argc) throw InvalidArgument("--" + name + " expects a value");
       value = argv[++i];
     }
-    if (opt.kind == Kind::kInt) {
+    if (opt.kind == Kind::kInt || opt.kind == Kind::kDouble) {
+      // The whole value must parse: "1e3" is not the integer 1.
+      std::size_t used = 0;
       try {
-        (void)std::stoll(value);
+        if (opt.kind == Kind::kInt) (void)std::stoll(value, &used);
+        else (void)std::stod(value, &used);
       } catch (const std::exception&) {
-        throw InvalidArgument("--" + name + " expects an integer, got '" + value + "'");
+        used = 0;  // not a number at all
       }
-    } else if (opt.kind == Kind::kDouble) {
-      try {
-        (void)std::stod(value);
-      } catch (const std::exception&) {
-        throw InvalidArgument("--" + name + " expects a number, got '" + value + "'");
-      }
+      if (used == 0 || used != value.size())
+        throw InvalidArgument("--" + name + " expects " +
+                              (opt.kind == Kind::kInt ? "an integer" : "a number") +
+                              ", got '" + value + "'");
     }
     opt.value = value;
   }

@@ -76,9 +76,10 @@ int report_cli_error(const std::string& program, const std::exception& error);
 void write_cli_output(const std::string& path, std::string_view text);
 
 /// Callback invoked by `report_cli_error` after printing the diagnostic.
-/// clpp::obs installs one at process start that dumps the flight recorder,
-/// so crashing CLIs ship their recent event history (support cannot depend
-/// on obs, hence the upward-registered hook). Must not throw.
+/// clpp::obs installs one at process start that dumps the flight recorder
+/// when a dump path is armed, so crashing CLIs ship their recent event
+/// history (support cannot depend on obs, hence the upward-registered
+/// hook). Must not throw.
 using FatalHook = void (*)();
 void set_fatal_hook(FatalHook hook);
 

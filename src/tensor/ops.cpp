@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "obs/trace.h"
 #include "prof/flops.h"
@@ -29,7 +30,19 @@ GemmDims gemm_dims(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b)
   return GemmDims{am, bn, ak};
 }
 
-// C[i,:] = alpha * sum_k A[i,k] B[k,:]  — inner loop streams B and C rows.
+/// Row-major copy of rank-2 `x` transposed.
+std::vector<float> transposed(const Tensor& x) {
+  const std::size_t rows = x.dim(0);
+  const std::size_t cols = x.dim(1);
+  std::vector<float> t(rows * cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const float* xrow = x.row(i);
+    for (std::size_t j = 0; j < cols; ++j) t[j * rows + i] = xrow[j];
+  }
+  return t;
+}
+
+// C[i,:] += alpha * sum_k A[i,k] B[k,:]  — inner loop streams B and C rows.
 void gemm_nn(const float* a, const float* b, float* c, std::size_t m, std::size_t n,
              std::size_t k, float alpha) {
   parallel_for(
@@ -47,57 +60,6 @@ void gemm_nn(const float* a, const float* b, float* c, std::size_t m, std::size_
       8);
 }
 
-// C[i,j] = alpha * dot(A[i,:], B[j,:]) — both operands stream contiguously.
-void gemm_nt(const float* a, const float* b, float* c, std::size_t m, std::size_t n,
-             std::size_t k, float alpha) {
-  parallel_for(
-      m,
-      [&](std::size_t i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n;
-        for (std::size_t j = 0; j < n; ++j) {
-          const float* brow = b + j * k;
-          float acc = 0.0f;
-          for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-          crow[j] += alpha * acc;
-        }
-      },
-      8);
-}
-
-// C[:, :] += alpha * A[p,:]ᵀ B[p,:] accumulated over p — rank-1 updates.
-// Serial over p (each update touches all of C), vectorized over j.
-void gemm_tn(const float* a, const float* b, float* c, std::size_t m, std::size_t n,
-             std::size_t k, float alpha) {
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* arow = a + p * m;
-    const float* brow = b + p * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float av = alpha * arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-// C[i,j] = alpha * sum_p A[p,i] * B[j,p] — rare; fall back to index math.
-void gemm_tt(const float* a, const float* b, float* c, std::size_t m, std::size_t n,
-             std::size_t k, float alpha) {
-  parallel_for(
-      m,
-      [&](std::size_t i) {
-        float* crow = c + i * n;
-        for (std::size_t j = 0; j < n; ++j) {
-          const float* brow = b + j * k;
-          float acc = 0.0f;
-          for (std::size_t p = 0; p < k; ++p) acc += a[p * m + i] * brow[p];
-          crow[j] += alpha * acc;
-        }
-      },
-      8);
-}
-
 }  // namespace
 
 void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a, bool trans_b,
@@ -105,7 +67,8 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a, bool trans_
   CLPP_TRACE_SPAN("gemm");
   const GemmDims d = gemm_dims(a, b, trans_a, trans_b);
   // Roofline accounting: 2mnk FLOPs over compulsory traffic (read A and B
-  // once, read-modify-write C) — reports clpp.prof.gemm.{gflops,...}.
+  // once, read-modify-write C; the copy of a transposed operand is left
+  // out) — reports clpp.prof.gemm.{gflops,...}.
   CLPP_PROF_KERNEL("gemm", 2ull * d.m * d.n * d.k,
                    sizeof(float) * (d.m * d.k + d.k * d.n + 2 * d.m * d.n));
   CLPP_CHECK_MSG(c.rank() == 2 && c.dim(0) == d.m && c.dim(1) == d.n,
@@ -116,10 +79,12 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a, bool trans_
   } else if (beta != 1.0f) {
     scale_inplace(c, beta);
   }
-  if (!trans_a && !trans_b) gemm_nn(a.data(), b.data(), c.data(), d.m, d.n, d.k, alpha);
-  else if (!trans_a && trans_b) gemm_nt(a.data(), b.data(), c.data(), d.m, d.n, d.k, alpha);
-  else if (trans_a && !trans_b) gemm_tn(a.data(), b.data(), c.data(), d.m, d.n, d.k, alpha);
-  else gemm_tt(a.data(), b.data(), c.data(), d.m, d.n, d.k, alpha);
+  std::vector<float> a_t;
+  std::vector<float> b_t;
+  if (trans_a) a_t = transposed(a);
+  if (trans_b) b_t = transposed(b);
+  gemm_nn(trans_a ? a_t.data() : a.data(), trans_b ? b_t.data() : b.data(), c.data(),
+          d.m, d.n, d.k, alpha);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
@@ -169,42 +134,22 @@ void sum_rows(const Tensor& x, Tensor& out) {
   }
 }
 
-void softmax_rows(Tensor& x) {
-  CLPP_CHECK_MSG(x.rank() == 2, "softmax_rows requires rank 2, got " << x.shape_str());
-  const std::size_t n = x.cols();
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    float* row = x.row(i);
-    float mx = row[0];
-    for (std::size_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
-    float total = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) {
-      row[j] = std::exp(row[j] - mx);
-      total += row[j];
-    }
-    const float inv = 1.0f / total;
-    for (std::size_t j = 0; j < n; ++j) row[j] *= inv;
+void softmax_row(std::span<float> row) {
+  if (row.empty()) return;
+  float mx = row[0];
+  for (std::size_t j = 1; j < row.size(); ++j) mx = std::max(mx, row[j]);
+  float total = 0.0f;
+  for (float& v : row) {
+    v = std::exp(v - mx);
+    total += v;
   }
+  const float inv = 1.0f / total;
+  for (float& v : row) v *= inv;
 }
 
-void softmax_rows_masked(Tensor& x, std::span<const int> valid) {
-  CLPP_CHECK_MSG(x.rank() == 2, "softmax_rows_masked requires rank 2");
-  CLPP_CHECK_MSG(valid.size() == x.rows(), "one valid length per row required");
-  const std::size_t n = x.cols();
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    const std::size_t len = static_cast<std::size_t>(valid[i]);
-    CLPP_CHECK_MSG(len >= 1 && len <= n, "valid length out of range: " << valid[i]);
-    float* row = x.row(i);
-    float mx = row[0];
-    for (std::size_t j = 1; j < len; ++j) mx = std::max(mx, row[j]);
-    float total = 0.0f;
-    for (std::size_t j = 0; j < len; ++j) {
-      row[j] = std::exp(row[j] - mx);
-      total += row[j];
-    }
-    const float inv = 1.0f / total;
-    for (std::size_t j = 0; j < len; ++j) row[j] *= inv;
-    for (std::size_t j = len; j < n; ++j) row[j] = 0.0f;
-  }
+void softmax_rows(Tensor& x) {
+  CLPP_CHECK_MSG(x.rank() == 2, "softmax_rows requires rank 2, got " << x.shape_str());
+  for (std::size_t i = 0; i < x.rows(); ++i) softmax_row(x.row_span(i));
 }
 
 std::size_t argmax(std::span<const float> row) {

@@ -1,8 +1,10 @@
 // Compute kernels over Tensor: GEMM, broadcasts, softmax, reductions.
 //
-// These are the hot paths of PragFormer training. GEMM dispatches on the
-// transpose pattern to loop orders that stream contiguously in the inner
-// loop (auto-vectorizable), and parallelizes the outer loop with OpenMP.
+// These are the hot paths of PragFormer training and inference. GEMM has
+// one kernel, row-major A·B, whose inner loop streams rows of B and C
+// (auto-vectorizable) and whose rows of C run on an OpenMP team; a
+// transposed operand is copied once into row-major scratch first. Every row
+// softmax (the loss, the attention core) is `softmax_row`.
 #pragma once
 
 #include <span>
@@ -36,13 +38,11 @@ void add_row_broadcast(Tensor& y, const Tensor& bias);
 /// overwritten. This is the backward of add_row_broadcast.
 void sum_rows(const Tensor& x, Tensor& out);
 
-/// In-place numerically-stable softmax over the last dimension of a rank-2
-/// tensor (each row independently).
-void softmax_rows(Tensor& x);
+/// In-place numerically-stable softmax of one row (no-op when empty).
+void softmax_row(std::span<float> row);
 
-/// Like softmax_rows, but positions j >= valid[i] of row i receive
-/// probability 0 (used for padded attention). valid[i] must be >= 1.
-void softmax_rows_masked(Tensor& x, std::span<const int> valid);
+/// softmax_row over each row of a rank-2 tensor.
+void softmax_rows(Tensor& x);
 
 /// Returns the index of the maximum element of a rank-1 tensor / row span.
 std::size_t argmax(std::span<const float> row);

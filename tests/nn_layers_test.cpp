@@ -188,6 +188,18 @@ TEST(Attention, ProbabilitiesRowsSumToOne) {
   EXPECT_TRUE(eval_probs.allclose(probs, 0.0f));
 }
 
+TEST(Attention, PaddedKeysGetZeroProbability) {
+  Rng rng(14);
+  MultiHeadSelfAttention attn("a", 8, 2, rng);
+  const std::vector<int> lengths = {3, 5};
+  Tensor probs;
+  attn.forward(Tensor::randn({2 * 5, 8}, rng), 2, 5, lengths, false, &probs);
+  for (std::size_t bh = 0; bh < 4; ++bh)
+    for (std::size_t s = 0; s < 5; ++s)
+      for (std::size_t t = static_cast<std::size_t>(lengths[bh / 2]); t < 5; ++t)
+        EXPECT_EQ(probs(bh, s, t), 0.0f);
+}
+
 TEST(Attention, BackwardAfterEvalForwardThrows) {
   Rng rng(13);
   MultiHeadSelfAttention attn("a", 8, 4, rng);

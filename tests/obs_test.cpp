@@ -263,33 +263,32 @@ TEST_F(ObsTest, SummaryIncludesP95Column) {
   EXPECT_NE(summary.find("p95"), std::string::npos);
 }
 
+/// True when the exported trace names some thread `name`.
+bool trace_names_thread(const std::string& name) {
+  const Json doc = obs::Tracer::instance().chrome_trace();
+  const Json& events = doc.at("traceEvents");
+  bool named = false;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Json& e = events.at(i);
+    if (e.at("ph").as_string() != "M") continue;
+    EXPECT_EQ(e.at("name").as_string(), "thread_name");
+    named = named || e.at("args").at("name").as_string() == name;
+  }
+  return named;
+}
+
 TEST_F(ObsTest, ChromeTraceNamesThreads) {
   {
     CLPP_TRACE_SPAN("named.span");
     burn();
   }
-  const Json doc = obs::Tracer::instance().chrome_trace();
-  const Json& events = doc.at("traceEvents");
-  bool main_named = false;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const Json& e = events.at(i);
-    if (e.at("ph").as_string() != "M") continue;
-    EXPECT_EQ(e.at("name").as_string(), "thread_name");
-    if (e.at("args").at("name").as_string() == "main") main_named = true;
-  }
-  EXPECT_TRUE(main_named);
-
+  EXPECT_TRUE(trace_names_thread("main"));
   obs::Tracer::instance().set_thread_name("renamed");
-  const Json doc2 = obs::Tracer::instance().chrome_trace();
-  const Json& events2 = doc2.at("traceEvents");
-  bool renamed = false;
-  for (std::size_t i = 0; i < events2.size(); ++i) {
-    const Json& e = events2.at(i);
-    if (e.at("ph").as_string() == "M" &&
-        e.at("args").at("name").as_string() == "renamed")
-      renamed = true;
-  }
-  EXPECT_TRUE(renamed);
+  EXPECT_TRUE(trace_names_thread("renamed"));
+  // A thread keeps its name across a reset.
+  obs::Tracer::instance().reset();
+  { CLPP_TRACE_SPAN("after.reset"); }
+  EXPECT_TRUE(trace_names_thread("renamed"));
   obs::Tracer::instance().set_thread_name("main");
 }
 
@@ -382,7 +381,7 @@ TEST_F(ObsTest, FlightRecorderRecordsAndDumps) {
   std::remove(path.c_str());
   const std::string saved = obs::flight_out();
   obs::set_flight_out(path);
-  EXPECT_TRUE(obs::flight_dump_on_fault());
+  EXPECT_EQ(obs::flight_out(), path);
   EXPECT_TRUE(obs::dump_flight("unit-test"));
   obs::set_flight_out(saved);
 

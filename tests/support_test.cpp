@@ -180,6 +180,24 @@ TEST(Cli, RejectsUnknownOption) {
   EXPECT_THROW(parser.parse(2, argv), InvalidArgument);
 }
 
+TEST(Cli, UsageErrorsReadAsUsage) {
+  const auto error_of = [](std::vector<const char*> argv) -> std::string {
+    ArgParser parser("prog", "test");
+    parser.add_flag("verbose", "verbosity");
+    parser.add_int("n", 1, "count");
+    try {
+      parser.parse(static_cast<int>(argv.size()), argv.data());
+    } catch (const InvalidArgument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(error_of({"prog", "--nope"}), "unknown option --nope");
+  EXPECT_EQ(error_of({"prog", "--verbose=maybe"}), "--verbose expects true/false, got 'maybe'");
+  EXPECT_EQ(error_of({"prog", "--n"}), "--n expects a value");
+  EXPECT_EQ(error_of({"prog", "--n", "1e3"}), "--n expects an integer, got '1e3'");
+}
+
 TEST(Cli, RejectsBadInteger) {
   ArgParser parser("prog", "test");
   parser.add_int("n", 1, "count");

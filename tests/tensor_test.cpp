@@ -1,6 +1,7 @@
 // Unit tests for clpp::tensor (shapes, kernels, serialization).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "support/rng.h"
@@ -136,6 +137,37 @@ TEST(Gemm, RejectsShapeMismatch) {
   EXPECT_THROW(gemm(a, b, c), InvalidArgument);
 }
 
+/// Xᵀ built element by element, independent of gemm's own transpose.
+Tensor transpose_by_hand(const Tensor& x) {
+  Tensor t({x.dim(1), x.dim(0)});
+  for (std::size_t i = 0; i < x.dim(0); ++i)
+    for (std::size_t j = 0; j < x.dim(1); ++j) t(j, i) = x(i, j);
+  return t;
+}
+
+// gemm has one kernel: a transposed operand gives the plain product with
+// that operand transposed first, bit for bit. k = 40 >= 32, where a
+// vectorized dot product rounds differently from the kernel's row updates.
+TEST(Gemm, TransposedOperandsRunTheOneKernelBitwise) {
+  Rng rng(21);
+  const Tensor a = Tensor::randn({9, 40}, rng);
+  const Tensor b = Tensor::randn({24, 40}, rng);
+  Tensor got({9, 24});
+  Tensor want({9, 24});
+  gemm(a, b, got, false, true);
+  gemm(a, transpose_by_hand(b), want);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.numel() * sizeof(float)), 0);
+
+  // Linear's weight-gradient accumulate, dW += xᵀ·g (trans_a, beta = 1).
+  const Tensor x = Tensor::randn({40, 9}, rng);
+  const Tensor g = Tensor::randn({40, 24}, rng);
+  got = Tensor::randn({9, 24}, rng);
+  want = got;
+  gemm(x, g, got, true, false, 1.0f, 1.0f);
+  gemm(transpose_by_hand(x), g, want, false, false, 1.0f, 1.0f);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.numel() * sizeof(float)), 0);
+}
+
 TEST(Gemm, LargeSizeAgainstNaive) {
   Rng rng(16);
   const Tensor a = Tensor::randn({64, 48}, rng);
@@ -184,20 +216,15 @@ TEST(Ops, SoftmaxIsShiftInvariant) {
   EXPECT_TRUE(a.allclose(b, 1e-5f));
 }
 
-TEST(Ops, MaskedSoftmaxZeroesPaddedColumns) {
-  Tensor x = Tensor::from({2, 4}, {1, 2, 3, 4, 1, 1, 1, 1});
-  const std::vector<int> valid = {2, 4};
-  softmax_rows_masked(x, valid);
-  EXPECT_EQ(x(0, 2), 0.0f);
-  EXPECT_EQ(x(0, 3), 0.0f);
-  EXPECT_NEAR(x(0, 0) + x(0, 1), 1.0f, 1e-5f);
-  EXPECT_NEAR(x(1, 0) + x(1, 1) + x(1, 2) + x(1, 3), 1.0f, 1e-5f);
-}
-
-TEST(Ops, MaskedSoftmaxRejectsZeroLength) {
-  Tensor x({1, 3});
-  const std::vector<int> valid = {0};
-  EXPECT_THROW(softmax_rows_masked(x, valid), InvalidArgument);
+TEST(Ops, SoftmaxRowNormalizesOnlyItsSpan) {
+  std::vector<float> x = {1, 2, 7, 7};
+  softmax_row(std::span<float>(x).first(2));
+  EXPECT_NEAR(x[0] + x[1], 1.0f, 1e-6f);
+  EXPECT_LT(x[0], x[1]);
+  EXPECT_EQ(x[2], 7.0f);
+  EXPECT_EQ(x[3], 7.0f);
+  softmax_row(std::span<float>(x).first(0));  // empty: no-op
+  EXPECT_EQ(x[2], 7.0f);
 }
 
 TEST(Ops, Argmax) {
