@@ -6,7 +6,8 @@
 // the two inputs that matter: the generated
 // corpus the audit gate lints on every CI run, and the hand-verified
 // corpus/realworld/ kernels (gemm's imperfect nest with linearized
-// subscripts is the stress case). Exported by run_benches.sh into
+// subscripts is the stress case). BM_AnalyzeGeneratedLoops is the analysis
+// layer alone, per loop, on the loops an audit lints. Exported by run_benches.sh into
 // bench_artifacts/ and compared against bench_baseline/ by check_perf.sh.
 #include <benchmark/benchmark.h>
 
@@ -81,6 +82,53 @@ void BM_AnalyzeRealworld(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeRealworld);
 
+/// The first loop of every record an audit lints (records with a
+/// directive) of an audit-shaped generated corpus, parsed once.
+struct GeneratedLoops {
+  std::vector<frontend::NodePtr> units;
+  std::vector<const frontend::Node*> loops;  // parallel to units
+
+  explicit GeneratedLoops(std::size_t size) {
+    codegen::GeneratorConfig config;
+    config.size = size;
+    config.seed = 2023;
+    config.buggy_directive_rate = 0.15;
+    config.simd_families = true;
+    const corpus::Corpus corpus = codegen::generate_corpus(config);
+    for (const corpus::Record& record : corpus.records()) {
+      if (!record.has_directive) continue;
+      frontend::NodePtr unit = frontend::parse_snippet(record.code);
+      const frontend::Node* loop = nullptr;
+      frontend::walk(*unit, [&](const frontend::Node& node, int) {
+        if (loop == nullptr && node.kind == frontend::NodeKind::kFor) loop = &node;
+      });
+      if (loop == nullptr) continue;
+      units.push_back(std::move(unit));
+      loops.push_back(loop);
+    }
+  }
+};
+
+/// The analysis layer of an audit pass, loop by loop: the unit's
+/// side-effect oracle, the loop scan and the dependence analysis, with the
+/// linter's analyzer options. Parsing is outside the timed region.
+void BM_AnalyzeGeneratedLoops(benchmark::State& state) {
+  static const GeneratedLoops fixtures(2000);
+  const analysis::AnalyzerOptions options = lint::lint_analyzer_options();
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < fixtures.loops.size(); ++i) {
+      const analysis::SideEffectOracle oracle(*fixtures.units[i]);
+      const analysis::LoopScan scan(*fixtures.loops[i]);
+      const analysis::LoopVerdict verdict =
+          analysis::DependenceAnalyzer(oracle, options).analyze(scan);
+      benchmark::DoNotOptimize(verdict.parallelizable);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fixtures.loops.size()));
+}
+BENCHMARK(BM_AnalyzeGeneratedLoops);
+
 /// Raw NestContext construction + pair testing on the linearized-gemm form
 /// that exercises the identical-subscript rule and Banerjee bounds.
 void BM_NestContextLinearizedGemm(benchmark::State& state) {
@@ -96,13 +144,13 @@ void BM_NestContextLinearizedGemm(benchmark::State& state) {
   frontend::walk(*unit, [&](const frontend::Node& node, int) {
     if (loop == nullptr && node.kind == frontend::NodeKind::kFor) loop = &node;
   });
-  const analysis::AccessSet accesses = analysis::collect_accesses(loop->child(3));
+  const analysis::LoopScan scan(*loop);
   std::vector<const analysis::Access*> refs;
-  for (const analysis::Access& access : accesses.accesses)
+  for (const analysis::Access& access : scan.body().accesses)
     if (access.is_array && access.variable == "c") refs.push_back(&access);
   std::size_t pairs = 0;
   for (auto _ : state) {
-    const analysis::NestContext context(*loop, accesses);
+    analysis::NestContext context(scan);
     for (const analysis::Access* src : refs)
       for (const analysis::Access* snk : refs) {
         if (!src->is_write && !snk->is_write) continue;

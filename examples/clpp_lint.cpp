@@ -234,7 +234,6 @@ int main(int argc, char** argv) {
       return explain_files(args.positional(), linter, as_json);
     return lint_files(args.positional(), linter, as_json, args.get_flag("sarif"));
   } catch (const std::exception& e) {
-    std::cerr << "clpp-lint: " << e.what() << "\n";
-    return 2;
+    return clpp::report_cli_error("clpp-lint", e);
   }
 }

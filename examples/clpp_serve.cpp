@@ -494,7 +494,6 @@ int main(int argc, char** argv) {
     serve::InferenceServer server(advisor, config);
     return run_jsonl(server);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "clpp-serve: %s\n", e.what());
-    return 1;
+    return report_cli_error("clpp-serve", e);
   }
 }

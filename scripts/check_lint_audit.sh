@@ -11,7 +11,9 @@
 # byte difference fails. Last, clpp-lint's output on fixed inputs is pinned
 # byte for byte, exit code included, to the golden files in
 # tests/golden/lint/: text and --json on a fixture with a loop per lint rule,
-# --explain --json on corpus/realworld, --audit --json --size 400, and text
+# --explain --json on corpus/realworld, --json and --explain --json on
+# generated.c (loops of every codegen family, simd and seeded defects
+# included, each directive above its loop), --audit --json --size 400, and text
 # and --json on three inputs nested 100,000 levels deep (parentheses,
 # blocks, a `+` chain in an annotated loop), generated at run time: hostile
 # nesting must get a parse-error finding and exit 1, never a crash. A
@@ -81,6 +83,8 @@ pin() {
 pin rules.txt 1 "$golden/rules.c" "$golden/parse_error.c"
 pin rules.json 1 --json "$golden/rules.c" "$golden/parse_error.c"
 pin explain-realworld.json 0 --explain --json corpus/realworld/*.c
+pin generated.json 1 --json "$golden/generated.c"
+pin explain-generated.json 0 --explain --json "$golden/generated.c"
 pin audit-400.json 1 --audit --json --size 400
 mkdir "$tmp/deep"
 python3 - "$tmp/deep" <<'EOF'
@@ -101,7 +105,7 @@ pin_dir=.
 if [ "$pinned_rc" != 0 ]; then
   exit 1
 fi
-echo "golden outputs: 6/6 byte-identical to $golden, exit codes included"
+echo "golden outputs: 8/8 byte-identical to $golden, exit codes included"
 
 echo "$report" | python3 -c '
 import json, sys

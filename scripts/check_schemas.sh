@@ -79,11 +79,10 @@ test -s "$OUT_DIR/flight.json" || {
   echo "check_schemas: fatal path produced no flight dump" >&2; exit 1; }
 
 # Unarmed, a usage error reads as one and writes nothing: in an empty
-# directory each CLI exits with its usage code on an unknown option (2;
-# clpp-serve exits 1 on every error), prints no internal check text and
-# leaves the directory empty.
+# directory each CLI exits 2 on an unknown option, prints no internal check
+# text and leaves the directory empty.
 empty=$(mktemp -d)
-for entry in clpp-insight:2 clpp-lint:2 clpp-report:2 clpp-serve:1; do
+for entry in clpp-insight:2 clpp-lint:2 clpp-report:2 clpp-serve:2; do
   tool=${entry%:*}
   rc=0
   (cd "$empty" && env -u CLPP_FLIGHT_OUT "$BIN_ABS/$tool" --no-such-flag) \

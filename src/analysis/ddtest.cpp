@@ -1,8 +1,9 @@
 #include "analysis/ddtest.h"
 
 #include <algorithm>
-#include <functional>
+#include <cstring>
 #include <numeric>
+#include <span>
 
 #include "frontend/printer.h"
 #include "support/error.h"
@@ -33,14 +34,23 @@ long long sat_mul(long long a, long long b) {
                  static_cast<__int128>(kBig))));
 }
 
-bool mentions_outside(const Node& expr, const SubscriptEnv& env) {
-  bool bad = false;
-  frontend::walk(expr, [&](const Node& n, int) {
-    if (n.kind == NodeKind::kID &&
-        (env.vars.count(n.text) > 0 || env.mutated.count(n.text) > 0))
-      bad = true;
-  });
-  return bad;
+/// True when saturation left `v` exact. Lowered coefficients and constants
+/// must be: a clamped one would let the tests refute a real collision, and
+/// keeping coefficients below kBig keeps the sum of two from wrapping.
+bool exact(long long v) { return v > -kBig && v < kBig; }
+
+/// `out = a + b` and `out = a * b`; false, leaving `out` unspecified, when
+/// the result does not fit. Literal arithmetic goes through these: a form
+/// that overflows is not affine.
+bool checked_add(long long a, long long b, long long& out) {
+  return !__builtin_add_overflow(a, b, &out);
+}
+bool checked_mul(long long a, long long b, long long& out) {
+  return !__builtin_mul_overflow(a, b, &out);
+}
+
+bool contains(std::span<const std::string_view> names, std::string_view name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 bool has_assignment(const Node& expr) {
@@ -54,86 +64,148 @@ bool has_assignment(const Node& expr) {
   return found;
 }
 
-AffineForm not_affine() { return AffineForm{}; }
+/// Builds affine forms as runs at the end of one term table. A run is
+/// sorted (inductions first, each kind by name), merged and free of zeros,
+/// and its offset is returned beside it.
+class AffineBuilder {
+ public:
+  /// `vars` are the quantified inductions, `mutated` the names written in
+  /// the body; printed symbol texts are kept in `texts`.
+  AffineBuilder(std::span<const std::string_view> vars,
+                std::span<const std::string_view> mutated,
+                std::pmr::vector<AffineTerm>& terms, std::pmr::memory_resource& texts,
+                std::string& scratch)
+      : vars_(vars), mutated_(mutated), terms_(terms), texts_(texts), scratch_(scratch) {}
 
-void fold_in(AffineForm& out, const AffineForm& in, long long scale) {
-  for (const auto& [v, c] : in.coeffs) out.coeffs[v] += scale * c;
-  for (const auto& [s, c] : in.symbols) out.symbols[s] += scale * c;
-  out.offset += scale * in.offset;
-}
+  /// Appends the run of `expr` and sets `offset`; false, with nothing
+  /// appended, when `expr` is not affine or its arithmetic overflows.
+  bool build(const Node& expr, long long& offset) {
+    const std::size_t mark = terms_.size();
+    if (auto value = literal_value(expr)) {
+      offset = *value;
+      return true;
+    }
+    if (expr.kind == NodeKind::kID) {
+      const bool var = contains(vars_, expr.text);
+      // A name whose value changes inside the body is not cancelable.
+      if (!var && contains(mutated_, expr.text)) return false;
+      terms_.push_back({expr.text, 1, var});
+      offset = 0;
+      return true;
+    }
+    // An operand that is not affine mentions an induction or a mutated
+    // name, or assigns; then so does `expr`, which is not affine either.
+    if (expr.kind == NodeKind::kBinaryOp &&
+        (expr.text == "+" || expr.text == "-" || expr.text == "*")) {
+      long long lhs = 0, rhs = 0;
+      if (!build(expr.child(0), lhs)) return false;
+      const std::size_t mid = terms_.size();
+      if (!build(expr.child(1), rhs)) {
+        terms_.resize(mark);
+        return false;
+      }
+      if (expr.text != "*") {
+        const long long sign = expr.text == "-" ? -1 : 1;
+        if (scale(mid, sign) && checked_mul(rhs, sign, rhs) &&
+            checked_add(lhs, rhs, offset) && normalize(mark))
+          return true;
+        terms_.resize(mark);
+        return false;
+      }
+      // Multiplication stays affine only against a pure literal factor;
+      // symbolic coefficients (i*N) would need delinearization.
+      const bool lhs_const = mid == mark;
+      if (lhs_const || terms_.size() == mid) {
+        if (scale(mark, lhs_const ? lhs : rhs) && checked_mul(lhs, rhs, offset) &&
+            normalize(mark))
+          return true;
+        terms_.resize(mark);
+        return false;
+      }
+      terms_.resize(mark);
+      // fall through to the opaque-invariant rule
+    }
+    if (expr.kind == NodeKind::kUnaryOp && (expr.text == "-" || expr.text == "+")) {
+      const long long sign = expr.text == "-" ? -1 : 1;
+      if (build(expr.child(0), offset) && scale(mark, sign) &&
+          checked_mul(offset, sign, offset))
+        return true;
+      terms_.resize(mark);
+      return false;
+    }
+    // Loop-invariant but non-affine subtree (n*m, f(n), c[k] with invariant
+    // k...): usable as one opaque symbol keyed by printed text — it cancels
+    // against a textually identical subtree. Mutated names or quantified vars
+    // inside disqualify it.
+    if (mentions_outside(expr) || has_assignment(expr)) return false;
+    scratch_.clear();
+    frontend::append_expression(expr, scratch_);
+    char* text = static_cast<char*>(texts_.allocate(scratch_.size(), 1));
+    std::memcpy(text, scratch_.data(), scratch_.size());
+    terms_.push_back({{text, scratch_.size()}, 1, false});
+    offset = 0;
+    return true;
+  }
 
-void prune_zeros(AffineForm& f) {
-  std::erase_if(f.coeffs, [](const auto& e) { return e.second == 0; });
-  std::erase_if(f.symbols, [](const auto& e) { return e.second == 0; });
-}
+ private:
+  bool mentions_outside(const Node& expr) const {
+    bool found = false;
+    frontend::walk(expr, [&](const Node& n, int) {
+      if (n.kind == NodeKind::kID &&
+          (contains(vars_, n.text) || contains(mutated_, n.text)))
+        found = true;
+    });
+    return found;
+  }
+
+  bool scale(std::size_t from, long long factor) {
+    for (std::size_t k = from; k < terms_.size(); ++k)
+      if (!checked_mul(terms_[k].coeff, factor, terms_[k].coeff)) return false;
+    return true;
+  }
+
+  /// Sorts the run from `from`, merges equal names and drops zeros.
+  bool normalize(std::size_t from) {
+    const auto first = terms_.begin() + static_cast<std::ptrdiff_t>(from);
+    std::sort(first, terms_.end(), [](const AffineTerm& a, const AffineTerm& b) {
+      return a.var != b.var ? a.var : a.name < b.name;
+    });
+    auto out = first;
+    for (auto it = first; it != terms_.end(); ++it) {
+      if (out != first && (out - 1)->var == it->var && (out - 1)->name == it->name) {
+        if (!checked_add((out - 1)->coeff, it->coeff, (out - 1)->coeff)) return false;
+      } else {
+        *out++ = *it;
+      }
+    }
+    terms_.erase(
+        std::remove_if(first, out, [](const AffineTerm& t) { return t.coeff == 0; }),
+        terms_.end());
+    return true;
+  }
+
+  std::span<const std::string_view> vars_;
+  std::span<const std::string_view> mutated_;
+  std::pmr::vector<AffineTerm>& terms_;
+  std::pmr::memory_resource& texts_;
+  std::string& scratch_;
+};
 
 }  // namespace
 
 AffineForm analyze_affine(const Node& expr, const SubscriptEnv& env) {
-  if (auto value = literal_value(expr)) {
-    AffineForm f;
-    f.affine = true;
-    f.offset = *value;
-    return f;
-  }
-  if (expr.kind == NodeKind::kID) {
-    AffineForm f;
-    f.affine = true;
-    if (env.vars.count(expr.text) > 0) {
-      f.coeffs[expr.text] = 1;
-    } else if (env.mutated.count(expr.text) == 0) {
-      f.symbols[expr.text] = 1;
-    } else {
-      return not_affine();  // value changes inside the body: not cancelable
-    }
-    return f;
-  }
-  if (expr.kind == NodeKind::kBinaryOp &&
-      (expr.text == "+" || expr.text == "-" || expr.text == "*")) {
-    const AffineForm lhs = analyze_affine(expr.child(0), env);
-    const AffineForm rhs = analyze_affine(expr.child(1), env);
-    if (lhs.affine && rhs.affine) {
-      if (expr.text == "+" || expr.text == "-") {
-        AffineForm out = lhs;
-        fold_in(out, rhs, expr.text == "+" ? 1 : -1);
-        prune_zeros(out);
-        return out;
-      }
-      // Multiplication stays affine only against a pure literal factor;
-      // symbolic coefficients (i*N) would need delinearization.
-      const bool lhs_const = lhs.coeffs.empty() && lhs.symbols.empty();
-      const bool rhs_const = rhs.coeffs.empty() && rhs.symbols.empty();
-      if (lhs_const || rhs_const) {
-        AffineForm out;
-        out.affine = true;
-        fold_in(out, lhs_const ? rhs : lhs, lhs_const ? lhs.offset : rhs.offset);
-        prune_zeros(out);
-        return out;
-      }
-    }
-    // fall through to the opaque-invariant rule
-  }
-  if (expr.kind == NodeKind::kUnaryOp && (expr.text == "-" || expr.text == "+")) {
-    const AffineForm inner = analyze_affine(expr.child(0), env);
-    if (inner.affine) {
-      AffineForm out;
-      out.affine = true;
-      fold_in(out, inner, expr.text == "-" ? -1 : 1);
-      prune_zeros(out);
-      return out;
-    }
-  }
-  // Loop-invariant but non-affine subtree (n*m, f(n), c[k] with invariant
-  // k...): usable as one opaque symbol keyed by printed text — it cancels
-  // against a textually identical subtree. Mutated names or quantified vars
-  // inside disqualify it.
-  if (!mentions_outside(expr, env) && !has_assignment(expr)) {
-    AffineForm f;
-    f.affine = true;
-    f.symbols[frontend::print_expression(expr)] = 1;
-    return f;
-  }
-  return not_affine();
+  const std::vector<std::string_view> vars(env.vars.begin(), env.vars.end());
+  const std::vector<std::string_view> mutated(env.mutated.begin(), env.mutated.end());
+  std::pmr::monotonic_buffer_resource memory;
+  std::pmr::vector<AffineTerm> terms(&memory);
+  std::string scratch;
+  AffineForm form;
+  if (!AffineBuilder(vars, mutated, terms, memory, scratch).build(expr, form.offset))
+    return form;
+  form.affine = true;
+  for (const AffineTerm& t : terms)
+    (t.var ? form.coeffs : form.symbols)[std::string(t.name)] = t.coeff;
+  return form;
 }
 
 const char* dep_test_name(DepTest test) {
@@ -176,291 +248,319 @@ std::optional<long long> PairResult::carried_distance() const {
 // ---------------------------------------------------------------------------
 // NestContext
 
-namespace {
-
-/// Orders NestContext's (site, loop) entries, sorted by site, against a site.
-constexpr auto kBySite = [](const auto& entry, const Node* site) {
-  return entry.first < site;
-};
-
-}  // namespace
-
-NestContext::NestContext(const Node& loop, const AccessSet& accesses) {
-  const auto canonical = canonicalize(loop);
-  CLPP_CHECK_MSG(canonical.has_value(), "NestContext expects a canonical loop");
-  analyzed_ = *canonical;
-
-  // Record every canonical `for` in the nest and, for every access site,
-  // the innermost canonical loop around it (analyzed loop outermost).
+NestContext::NestContext(const LoopScan& scan) : scan_(&scan) {
+  CLPP_CHECK_MSG(scan.canonical() != nullptr, "NestContext expects a canonical loop");
   // Non-canonical loops contribute no binding: their inductions stay in
   // `mutated` and any subscript that mentions one degrades to a
   // conservative answer.
-  sites_.reserve(accesses.accesses.size());
-  for (const Access& a : accesses.accesses) sites_.emplace_back(a.site, nullptr);
-  std::sort(sites_.begin(), sites_.end());
-  sites_.erase(std::unique(sites_.begin(), sites_.end()), sites_.end());
-  index_nest(loop, nullptr);
-
-  for (const auto& rec : loops_) env_.vars.insert(rec->canon.induction);
-  for (const Access& a : accesses.accesses)
-    if (a.is_write && !a.is_array) env_.mutated.insert(a.variable);
+  const AccessSet& body = scan.body();
+  for (const NestLoop& loop : body.loops) vars_.push_back(loop.canon.induction);
+  for (const Access& a : body.accesses)
+    if (a.is_write && !a.is_array && !contains(mutated_, a.variable))
+      mutated_.push_back(a.variable);
+  lower_bounds_.reserve(body.loops.size());
+  for (const NestLoop& loop : body.loops)
+    lower_bounds_.push_back(build_form(*loop.canon.lower));
+  lowered_.resize(body.subscript_table.size());
 }
 
-void NestContext::index_nest(const Node& node, const LoopRec* enclosing) {
-  if (node.kind == NodeKind::kFor) {
-    if (auto canon = canonicalize(node)) {
-      auto rec = std::make_unique<LoopRec>();
-      rec->outer = enclosing;
-      rec->depth = enclosing == nullptr ? 1 : enclosing->depth + 1;
-      rec->trip = canon->static_trip_count();
-      rec->canon = std::move(*canon);
-      enclosing = rec.get();
-      loops_.push_back(std::move(rec));
-    }
+const std::pmr::vector<NestLoop>& NestContext::loops() const {
+  return scan_->body().loops;
+}
+
+NestContext::Form NestContext::build_form(const Node& expr) {
+  Form form;
+  form.begin = static_cast<std::uint32_t>(affine_terms_.size());
+  form.affine = AffineBuilder(vars_, mutated_, affine_terms_, memory_, src_text_)
+                    .build(expr, form.offset);
+  form.end = static_cast<std::uint32_t>(affine_terms_.size());
+  return form;
+}
+
+const NestContext::Lowered& NestContext::lowered(const Access& access, std::size_t dim) {
+  const auto& table = scan_->body().subscript_table;
+  Lowered& out = lowered_[static_cast<std::size_t>(&access.subscripts[dim] - table.data())];
+  if (out.ready) return out;
+  out.ready = true;
+  const std::size_t mark = affine_terms_.size();
+  const Form form = build_form(*access.subscripts[dim]);
+  out.terms_begin = static_cast<std::uint32_t>(loop_terms_.size());
+  out.syms_begin = static_cast<std::uint32_t>(sym_terms_.size());
+  out.ok = lower(form, access.loop, 1, out.terms_begin, out.syms_begin, out.constant);
+  affine_terms_.resize(mark);  // the lower bounds' runs stay
+  if (!out.ok) {
+    loop_terms_.resize(out.terms_begin);
+    sym_terms_.resize(out.syms_begin);
   }
-  const auto site = std::lower_bound(sites_.begin(), sites_.end(), &node, kBySite);
-  if (site != sites_.end() && site->first == &node) site->second = enclosing;
-  for (const auto& c : node.children) index_nest(*c, enclosing);
+  const auto terms = loop_terms_.begin() + out.terms_begin;
+  loop_terms_.erase(std::remove_if(terms, loop_terms_.end(),
+                                   [](const LoopTerm& t) { return t.coeff == 0; }),
+                    loop_terms_.end());
+  const auto syms = sym_terms_.begin() + out.syms_begin;
+  sym_terms_.erase(std::remove_if(syms, sym_terms_.end(),
+                                  [](const SymTerm& t) { return t.coeff == 0; }),
+                   sym_terms_.end());
+  std::sort(sym_terms_.begin() + out.syms_begin, sym_terms_.end(),
+            [](const SymTerm& a, const SymTerm& b) { return a.text < b.text; });
+  out.terms_end = static_cast<std::uint32_t>(loop_terms_.size());
+  out.syms_end = static_cast<std::uint32_t>(sym_terms_.size());
+  return out;
 }
 
-const NestContext::LoopRec* NestContext::innermost_of(const Node* site) const {
-  const auto it = std::lower_bound(sites_.begin(), sites_.end(), site, kBySite);
-  return it != sites_.end() && it->first == site ? it->second : nullptr;
+// Lowers one affine form into iteration-count variables:
+// value(v bound at loop L) = lower_L + step_L * t(L), recursing into lower
+// bounds that reference outer inductions. A name binds to the innermost
+// loop of its induction at or outside `inner`. Coefficients accumulate into
+// the runs from `terms_begin` and `syms_begin`. A value that saturates or
+// overflows fails the lowering, which answers the pair conservatively.
+bool NestContext::lower(const Form& form, std::uint32_t inner, long long scale,
+                        std::uint32_t terms_begin, std::uint32_t syms_begin,
+                        long long& constant) {
+  if (!form.affine) return false;
+  constant = sat_add(constant, sat_mul(scale, form.offset));
+  if (!exact(constant)) return false;
+  for (std::uint32_t k = form.begin; k < form.end; ++k) {
+    const AffineTerm term = affine_terms_[k];
+    if (term.var) continue;
+    long long coeff = 0;
+    if (!checked_mul(scale, term.coeff, coeff)) return false;
+    const auto sym = std::find_if(sym_terms_.begin() + syms_begin, sym_terms_.end(),
+                                  [&](const SymTerm& s) { return s.text == term.name; });
+    if (sym == sym_terms_.end())
+      sym_terms_.push_back({term.name, coeff});
+    else if (!checked_add(sym->coeff, coeff, sym->coeff))
+      return false;
+  }
+  const auto& nest = loops();
+  for (std::uint32_t k = form.begin; k < form.end; ++k) {
+    const AffineTerm term = affine_terms_[k];
+    if (!term.var) continue;
+    std::uint32_t rec = inner;
+    while (rec != kNoLoop && nest[rec].canon.induction != term.name)
+      rec = nest[rec].outer;
+    if (rec == kNoLoop) return false;  // not bound here: stay conservative
+    const long long coeff = sat_mul(scale, term.coeff);
+    const long long step = sat_mul(coeff, nest[rec].canon.step);
+    if (!exact(coeff) || !exact(step)) return false;
+    const auto slot = std::find_if(loop_terms_.begin() + terms_begin, loop_terms_.end(),
+                                   [&](const LoopTerm& t) { return t.loop == rec; });
+    if (slot == loop_terms_.end())
+      loop_terms_.push_back({rec, step});
+    else if (!checked_add(slot->coeff, step, slot->coeff) || !exact(slot->coeff))
+      return false;
+    if (!lower(lower_bounds_[rec], nest[rec].outer, coeff, terms_begin, syms_begin,
+               constant))
+      return false;
+  }
+  return true;
 }
 
-namespace {
+// Identical-subscript rule: two textually identical subscripts —
+// G[(i*NL)+j] on both sides — address the same element exactly when the
+// mentioned inductions agree, because a pure arithmetic index expression is
+// injective in practice for real linearized subscripts (row-major i*N+j
+// with j < N). That pins every mentioned level to the `=` direction. The
+// rule is OFF for subscripts routed through memory or calls (A[idx[i]],
+// A[f(i)]) — those maps are arbitrary and can collide across iterations —
+// and for expressions reading body-mutated scalars, where text equality no
+// longer means value equality. Marks the pinned levels of common_.
+bool NestContext::identical_subscripts(const Node& src, const Node& snk) {
+  src_text_.clear();
+  snk_text_.clear();
+  frontend::append_expression(src, src_text_);
+  frontend::append_expression(snk, snk_text_);
+  if (src_text_ != snk_text_ || has_assignment(src)) return false;
+  bool opaque = false;
+  mentioned_.clear();
+  frontend::walk(src, [&](const Node& n, int) {
+    if (n.kind == NodeKind::kArrayRef || n.kind == NodeKind::kFuncCall) opaque = true;
+    if (n.kind != NodeKind::kID) return;
+    mentioned_.push_back(n.text);
+    // Canonical inductions are "mutated" by their own loop headers; they
+    // are exactly what the rule pins, so only other written scalars
+    // disqualify it.
+    if (contains(mutated_, n.text) && !contains(vars_, n.text)) opaque = true;
+  });
+  if (opaque) return false;
+  for (Level& level : common_)
+    if (contains(mentioned_, loops()[level.loop].canon.induction)) level.force_eq = true;
+  return true;
+}
 
-/// One side-tagged iteration-count variable t(side, loop).
-using IterKey = std::pair<int, const void*>;
+// Direction-class test for dimension `dim` at level `lvl`: substitute the
+// class constraint on (t_src, t_snk) of `lvl`, then refute with a GCD
+// divisibility test and Banerjee-style interval bounds. Every remaining
+// variable v ranges over [0, hi] (hi == nullopt: unbounded).
+bool NestContext::class_possible(const Dim& dim, std::uint32_t lvl, unsigned cls,
+                                 Mechanisms& mech) const {
+  if (!dim.ok) return true;  // no constraint from this dimension
+  const auto& nest = loops();
+  const auto bound_of = [&](std::uint32_t loop,
+                            long long less) -> std::optional<long long> {
+    if (!nest[loop].trip) return std::nullopt;
+    return *nest[loop].trip - less;
+  };
+  const std::span<const LoopTerm> src_terms(loop_terms_.data() + dim.src->terms_begin,
+                                            dim.src->terms_end - dim.src->terms_begin);
+  const std::span<const LoopTerm> snk_terms(loop_terms_.data() + dim.snk->terms_begin,
+                                            dim.snk->terms_end - dim.snk->terms_begin);
 
-/// Linear difference src - snk over iteration-count variables.
-struct LinearDiff {
-  bool ok = true;  // false: fell back to conservative (no constraint)
-  /// Non-affine dimension resolved by the identical-subscript rule: it
-  /// contributes `=` pins instead of numeric terms and does not degrade
-  /// the result to inexact.
-  bool text_pinned = false;
-  std::map<IterKey, long long> terms;
-  long long constant = 0;
-};
+  // The difference src - snk: the sink's coefficients enter negated.
+  long long c_src = 0, c_snk = 0;
+  for (const LoopTerm& t : src_terms)
+    if (t.loop == lvl) c_src = t.coeff;
+  for (const LoopTerm& t : snk_terms)
+    if (t.loop == lvl) c_snk = -t.coeff;
+  long long constant = dim.constant;
+  struct Var {
+    long long c;
+    std::optional<long long> hi;
+  };
+  std::array<Var, 2> level_vars;
+  std::size_t n_level_vars = 1;
+  if (cls == kDirEq) {
+    // t_src == t_snk == t in [0, trip-1].
+    level_vars[0] = {c_src + c_snk, bound_of(lvl, 1)};
+  } else {
+    // t_snk = t_src + d (or t_src = t_snk + d), d = 1 + d', d' >= 0.
+    const long long c_far = cls == kDirLt ? c_snk : c_src;
+    level_vars = {Var{c_src + c_snk, bound_of(lvl, 2)}, Var{c_far, bound_of(lvl, 2)}};
+    n_level_vars = 2;
+    constant = sat_add(constant, c_far);
+  }
+  const auto for_each_var = [&](const auto& fn) {
+    for (const LoopTerm& t : src_terms)
+      if (t.loop != lvl) fn(t.coeff, bound_of(t.loop, 1));
+    for (const LoopTerm& t : snk_terms)
+      if (t.loop != lvl) fn(-t.coeff, bound_of(t.loop, 1));
+    for (std::size_t v = 0; v < n_level_vars; ++v) fn(level_vars[v].c, level_vars[v].hi);
+  };
 
-}  // namespace
+  bool empty_range = false;
+  long long g = 0;
+  for_each_var([&](long long c, std::optional<long long> hi) {
+    if (hi && *hi < 0) empty_range = true;
+    if (c != 0) g = std::gcd(g, c < 0 ? -c : c);
+  });
+  if (empty_range) {
+    mech.refuter = DepTest::kBanerjee;  // bounds argument: empty range
+    return false;
+  }
+  if (g == 0) {
+    // No free variables left: a pure constant difference — ZIV.
+    mech.ziv = true;
+    if (constant != 0) mech.refuter = DepTest::kZiv;
+    return constant == 0;
+  }
+  mech.gcd = true;
+  if (constant % g != 0) {
+    mech.refuter = DepTest::kGcd;
+    return false;
+  }
 
-PairResult NestContext::test_pair(const Access& src, const Access& snk) const {
-  PairResult conservative;
-  conservative.exact = false;
-  conservative.levels.push_back({analyzed_.induction, kDirAll, std::nullopt});
+  long long lo_sum = constant, hi_sum = constant;
+  bool lo_inf = false, hi_inf = false;
+  for_each_var([&](long long c, std::optional<long long> hi) {
+    if (c == 0) return;
+    if (!hi) {
+      (c > 0 ? hi_inf : lo_inf) = true;
+      return;
+    }
+    const long long extent = sat_mul(c, *hi);
+    lo_sum = sat_add(lo_sum, std::min(0LL, extent));
+    hi_sum = sat_add(hi_sum, std::max(0LL, extent));
+  });
+  mech.banerjee = true;
+  const bool feasible = (lo_inf || lo_sum <= 0) && (hi_inf || hi_sum >= 0);
+  if (!feasible) mech.refuter = DepTest::kBanerjee;
+  return feasible;
+}
 
-  const LoopRec* inner_src = innermost_of(src.site);
-  const LoopRec* inner_snk = innermost_of(snk.site);
-  if (inner_src == nullptr || inner_snk == nullptr) return conservative;
+// Strong-SIV pinning: a dimension whose only variables are this level's
+// pair with opposite coefficients fixes the iteration distance exactly.
+std::optional<long long> NestContext::pinned_distance(const Dim& dim,
+                                                      std::uint32_t lvl) const {
+  if (!dim.ok) return std::nullopt;
+  const std::uint32_t terms = dim.src->terms_end - dim.src->terms_begin +
+                              dim.snk->terms_end - dim.snk->terms_begin;
+  if (terms != 2) return std::nullopt;
+  const auto coeff_at = [&](const Lowered& side) -> std::optional<long long> {
+    for (std::uint32_t k = side.terms_begin; k < side.terms_end; ++k)
+      if (loop_terms_[k].loop == lvl) return loop_terms_[k].coeff;
+    return std::nullopt;
+  };
+  const auto s = coeff_at(*dim.src);
+  const auto k = coeff_at(*dim.snk);
+  // In src - snk the sink's coefficient is -*k: opposite coefficients are
+  // equal ones here.
+  if (!s || !k || *s != *k || *s == 0) return std::nullopt;
+  if (dim.constant % *s != 0) return std::nullopt;
+  return dim.constant / *s;  // delta = t_snk - t_src
+}
+
+PairResult NestContext::test_pair(const Access& src, const Access& snk) {
+  const auto& nest = loops();
+  if (src.loop == kNoLoop || snk.loop == kNoLoop) {
+    PairResult conservative;
+    conservative.exact = false;
+    conservative.levels.push_back({analyzed().induction, kDirAll, std::nullopt});
+    return conservative;
+  }
 
   // Common enclosing canonical loops: the analyzed loop down to the
   // innermost loop around both sites, found by walking the outer links.
-  const LoopRec* shared = inner_src;
-  for (const LoopRec* other = inner_snk; shared != other;) {
-    if (shared->depth >= other->depth)
-      shared = shared->outer;
+  std::uint32_t shared = src.loop;
+  for (std::uint32_t other = snk.loop; shared != other;) {
+    if (nest[shared].depth >= nest[other].depth)
+      shared = nest[shared].outer;
     else
-      other = other->outer;
+      other = nest[other].outer;
   }
-  std::vector<const LoopRec*> common(shared->depth);
-  for (const LoopRec* rec = shared; rec != nullptr; rec = rec->outer)
-    common[rec->depth - 1] = rec;
-
-  // Lower one side of one subscript into iteration-count variables:
-  // value(v bound at loop L) = lower_L + step_L * t(side, L), recursing
-  // into lower bounds that reference outer inductions. A name binds to the
-  // innermost loop of its induction at or outside `inner`.
-  std::function<bool(const AffineForm&, int, const LoopRec*, long long, LinearDiff&,
-                     std::map<std::string, long long>&)>
-      lower_form = [&](const AffineForm& form, int side, const LoopRec* inner,
-                       long long scale, LinearDiff& out,
-                       std::map<std::string, long long>& syms) {
-        if (!form.affine) return false;
-        out.constant = sat_add(out.constant, sat_mul(scale, form.offset));
-        for (const auto& [sym, c] : form.symbols) syms[sym] += scale * c;
-        for (const auto& [name, c] : form.coeffs) {
-          const LoopRec* rec = inner;
-          while (rec != nullptr && rec->canon.induction != name) rec = rec->outer;
-          if (rec == nullptr) return false;  // not bound here: stay conservative
-          const long long coeff = sat_mul(scale, c);
-          out.terms[{side, rec}] += sat_mul(coeff, rec->canon.step);
-          const AffineForm low = analyze_affine(*rec->canon.lower, env_);
-          if (!lower_form(low, side, rec->outer, coeff, out, syms)) return false;
-        }
-        return true;
-      };
+  common_.assign(nest[shared].depth, Level{});
+  for (std::uint32_t rec = shared; rec != kNoLoop; rec = nest[rec].outer)
+    common_[nest[rec].depth - 1].loop = rec;
 
   const std::size_t rank = std::min(src.subscripts.size(), snk.subscripts.size());
-  std::vector<LinearDiff> dims;
-  // Levels an identical-text dimension pins to the `=` direction (below).
-  std::set<const LoopRec*> force_eq;
+  dims_.clear();
   for (std::size_t d = 0; d < rank; ++d) {
-    LinearDiff diff;
-    std::map<std::string, long long> syms;
-    const AffineForm fs = analyze_affine(*src.subscripts[d], env_);
-    const AffineForm fk = analyze_affine(*snk.subscripts[d], env_);
-    LinearDiff pos, neg;
-    std::map<std::string, long long> syms_pos, syms_neg;
-    if (!lower_form(fs, 1, inner_src, 1, pos, syms_pos) ||
-        !lower_form(fk, 2, inner_snk, 1, neg, syms_neg)) {
-      diff.ok = false;
-      dims.push_back(diff);
-      // Identical-subscript rule: two textually identical subscripts —
-      // G[(i*NL)+j] on both sides — address the same element exactly when
-      // the mentioned inductions agree, because a pure arithmetic index
-      // expression is injective in practice for real linearized subscripts
-      // (row-major i*N+j with j < N). That pins every mentioned level to
-      // the `=` direction. The rule is OFF for subscripts routed through
-      // memory or calls (A[idx[i]], A[f(i)]) — those maps are arbitrary
-      // and can collide across iterations — and for expressions reading
-      // body-mutated scalars, where text equality no longer means value
-      // equality.
-      if (frontend::print_expression(*src.subscripts[d]) ==
-              frontend::print_expression(*snk.subscripts[d]) &&
-          !has_assignment(*src.subscripts[d])) {
-        bool opaque = false;
-        std::set<std::string> mentioned;
-        frontend::walk(*src.subscripts[d], [&](const Node& n, int) {
-          if (n.kind == NodeKind::kArrayRef || n.kind == NodeKind::kFuncCall)
-            opaque = true;
-          if (n.kind != NodeKind::kID) return;
-          mentioned.insert(n.text);
-          // Canonical inductions are "mutated" by their own loop headers;
-          // they are exactly what the rule pins, so only other written
-          // scalars disqualify it.
-          if (env_.mutated.count(n.text) > 0 && env_.vars.count(n.text) == 0)
-            opaque = true;
-        });
-        if (!opaque) {
-          dims.back().text_pinned = true;
-          for (const LoopRec* lvl : common)
-            if (mentioned.count(lvl->canon.induction) > 0) force_eq.insert(lvl);
-        }
-      }
+    Dim dim;
+    const Lowered& src_dim = lowered(src, d);
+    if (!src_dim.ok || !lowered(snk, d).ok) {
+      dim.text_pinned = identical_subscripts(*src.subscripts[d], *snk.subscripts[d]);
+      dims_.push_back(dim);
       continue;
     }
-    for (const auto& [k, c] : pos.terms) diff.terms[k] += c;
-    for (const auto& [k, c] : neg.terms) diff.terms[k] -= c;
-    diff.constant = sat_add(pos.constant, -neg.constant);
-    for (const auto& [s, c] : syms_pos) syms[s] += c;
-    for (const auto& [s, c] : syms_neg) syms[s] -= c;
-    std::erase_if(diff.terms, [](const auto& e) { return e.second == 0; });
-    const bool syms_cancel =
-        std::all_of(syms.begin(), syms.end(), [](const auto& e) { return e.second == 0; });
-    if (!syms_cancel) diff.ok = false;  // unresolved symbolic difference
-    dims.push_back(diff);
+    const Lowered& snk_dim = lowered(snk, d);
+    // Symbolic terms must cancel: both sides' merged runs are equal.
+    dim.ok = std::equal(sym_terms_.begin() + src_dim.syms_begin,
+                        sym_terms_.begin() + src_dim.syms_end,
+                        sym_terms_.begin() + snk_dim.syms_begin,
+                        sym_terms_.begin() + snk_dim.syms_end,
+                        [](const SymTerm& a, const SymTerm& b) {
+                          return a.text == b.text && a.coeff == b.coeff;
+                        });
+    dim.src = &src_dim;
+    dim.snk = &snk_dim;
+    dim.constant = sat_add(src_dim.constant, -snk_dim.constant);
+    dims_.push_back(dim);
   }
-
-  // Provenance bookkeeping: which hierarchy members actually ran on this
-  // pair, and which one fired the most recent refutation. `refuter` is only
-  // meaningful right after a class_possible call returned false.
-  struct Mechanisms {
-    bool ziv = false, gcd = false, banerjee = false;
-    DepTest refuter = DepTest::kBanerjee;
-  } mech;
-
-  // Direction-class test for dimension `diff` at level `lvl`: substitute the
-  // class constraint on (t_src, t_snk) of `lvl`, then refute with a GCD
-  // divisibility test and Banerjee-style interval bounds. Every remaining
-  // variable v ranges over [0, hi] (hi == nullopt: unbounded).
-  const auto class_possible = [&](const LinearDiff& diff, const LoopRec* lvl,
-                                  unsigned cls) {
-    if (!diff.ok) return true;  // no constraint from this dimension
-    std::vector<std::pair<long long, std::optional<long long>>> vars;
-    long long constant = diff.constant;
-
-    const auto bound_of = [](const LoopRec* rec,
-                             long long less) -> std::optional<long long> {
-      if (!rec->trip) return std::nullopt;
-      return *rec->trip - less;
-    };
-
-    long long c_src = 0, c_snk = 0;
-    for (const auto& [key, c] : diff.terms) {
-      if (key.second == static_cast<const void*>(lvl)) {
-        (key.first == 1 ? c_src : c_snk) = c;
-        continue;
-      }
-      const auto* rec = static_cast<const LoopRec*>(key.second);
-      vars.push_back({c, bound_of(rec, 1)});
-    }
-    if (cls == kDirEq) {
-      // t_src == t_snk == t in [0, trip-1].
-      vars.push_back({c_src + c_snk, bound_of(lvl, 1)});
-    } else {
-      // t_snk = t_src + d (or t_src = t_snk + d), d = 1 + d', d' >= 0.
-      const long long c_far = cls == kDirLt ? c_snk : c_src;
-      vars.push_back({c_src + c_snk, bound_of(lvl, 2)});
-      vars.push_back({c_far, bound_of(lvl, 2)});
-      constant = sat_add(constant, c_far);
-    }
-
-    long long g = 0;
-    for (const auto& [c, hi] : vars) {
-      if (hi && *hi < 0) {
-        mech.refuter = DepTest::kBanerjee;  // bounds argument: empty range
-        return false;
-      }
-      if (c != 0) g = std::gcd(g, c < 0 ? -c : c);
-    }
-    if (g == 0) {
-      // No free variables left: a pure constant difference — ZIV.
-      mech.ziv = true;
-      if (constant != 0) mech.refuter = DepTest::kZiv;
-      return constant == 0;
-    }
-    mech.gcd = true;
-    if (constant % g != 0) {
-      mech.refuter = DepTest::kGcd;
-      return false;
-    }
-
-    long long lo_sum = constant, hi_sum = constant;
-    bool lo_inf = false, hi_inf = false;
-    for (const auto& [c, hi] : vars) {
-      if (c == 0) continue;
-      if (!hi) {
-        (c > 0 ? hi_inf : lo_inf) = true;
-        continue;
-      }
-      const long long extent = sat_mul(c, *hi);
-      lo_sum = sat_add(lo_sum, std::min(0LL, extent));
-      hi_sum = sat_add(hi_sum, std::max(0LL, extent));
-    }
-    mech.banerjee = true;
-    const bool feasible = (lo_inf || lo_sum <= 0) && (hi_inf || hi_sum >= 0);
-    if (!feasible) mech.refuter = DepTest::kBanerjee;
-    return feasible;
-  };
-
-  // Strong-SIV pinning: a dimension whose only variables are this level's
-  // pair with opposite coefficients fixes the iteration distance exactly.
-  const auto pinned_distance =
-      [&](const LinearDiff& diff, const LoopRec* lvl) -> std::optional<long long> {
-    if (!diff.ok || diff.terms.size() != 2) return std::nullopt;
-    const auto s = diff.terms.find({1, lvl});
-    const auto k = diff.terms.find({2, lvl});
-    if (s == diff.terms.end() || k == diff.terms.end()) return std::nullopt;
-    if (s->second != -k->second || s->second == 0) return std::nullopt;
-    if (diff.constant % s->second != 0) return std::nullopt;
-    return diff.constant / s->second;  // delta = t_snk - t_src
-  };
 
   PairResult result;
-  for (const LinearDiff& diff : dims) {
-    if (!diff.ok && !diff.text_pinned) result.exact = false;
-  }
-
-  for (const LoopRec* lvl : common) {
+  result.exact = std::all_of(dims_.begin(), dims_.end(),
+                             [](const Dim& d) { return d.ok || d.text_pinned; });
+  result.levels.reserve(common_.size());
+  // Provenance bookkeeping: which hierarchy members actually ran on this
+  // pair, and which one fired the most recent refutation.
+  Mechanisms mech;
+  for (const Level& common : common_) {
+    const std::uint32_t lvl = common.loop;
     DepLevel level;
-    level.var = lvl->canon.induction;
+    level.var = nest[lvl].canon.induction;
     level.dirs = 0;
     DepTest kill = DepTest::kBanerjee;
     for (unsigned cls : {kDirLt, kDirEq, kDirGt}) {
-      const bool ok = std::all_of(dims.begin(), dims.end(), [&](const LinearDiff& d) {
-        return class_possible(d, lvl, cls);
+      const bool ok = std::all_of(dims_.begin(), dims_.end(), [&](const Dim& d) {
+        return class_possible(d, lvl, cls, mech);
       });
       if (ok)
         level.dirs |= cls;
@@ -469,8 +569,8 @@ PairResult NestContext::test_pair(const Access& src, const Access& snk) const {
     }
     std::optional<long long> pin;
     bool conflict = false;
-    for (const LinearDiff& diff : dims) {
-      if (auto delta = pinned_distance(diff, lvl)) {
+    for (const Dim& dim : dims_) {
+      if (auto delta = pinned_distance(dim, lvl)) {
         if (pin && *pin != *delta) conflict = true;
         pin = delta;
       }
@@ -490,7 +590,7 @@ PairResult NestContext::test_pair(const Access& src, const Access& snk) const {
         level.distance = pin;
       }
     }
-    if (force_eq.count(lvl) > 0) {
+    if (common.force_eq) {
       const unsigned before = level.dirs;
       level.dirs &= kDirEq;
       if (level.dirs == 0 && before != 0) kill = DepTest::kTextPinned;
@@ -505,9 +605,10 @@ PairResult NestContext::test_pair(const Access& src, const Access& snk) const {
 
   // A dimension that rules out every class of every level independently can
   // only happen when the dimension itself has no solution at all (ZIV).
-  for (const LinearDiff& diff : dims) {
-    if (!diff.ok) continue;
-    if (diff.terms.empty() && diff.constant != 0) {
+  for (const Dim& dim : dims_) {
+    if (!dim.ok) continue;
+    if (dim.src->terms_begin == dim.src->terms_end &&
+        dim.snk->terms_begin == dim.snk->terms_end && dim.constant != 0) {
       result.possible = false;
       result.deciding = DepTest::kZiv;
       return result;
@@ -522,7 +623,7 @@ PairResult NestContext::test_pair(const Access& src, const Access& snk) const {
     result.deciding = DepTest::kConservative;
   } else if (!result.levels.empty() && result.levels.front().distance) {
     result.deciding = DepTest::kStrongSiv;
-  } else if (!common.empty() && force_eq.count(common.front()) > 0) {
+  } else if (!common_.empty() && common_.front().force_eq) {
     result.deciding = DepTest::kTextPinned;
   } else if (mech.banerjee) {
     result.deciding = DepTest::kBanerjee;

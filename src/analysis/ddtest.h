@@ -25,11 +25,15 @@
 // not exist, never the reverse (see tests/depend_oracle_test.cpp).
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <map>
-#include <memory>
+#include <memory_resource>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/accesses.h"
@@ -64,8 +68,18 @@ struct SubscriptEnv {
 /// Analyzes `expr` as an affine function over `env.vars`. Loop-invariant
 /// subtrees (no vars, no mutated names) that are not otherwise affine fold
 /// into a single opaque symbol keyed by their printed text, so they cancel
-/// only against a textually identical subtree.
+/// only against a textually identical subtree. NestContext builds the same
+/// form as a run of AffineTerms in its arena; this returns it as maps.
 AffineForm analyze_affine(const frontend::Node& expr, const SubscriptEnv& env);
+
+/// One term of an affine form as NestContext builds it: the coefficient of
+/// an induction (`var`) or of a loop-invariant symbol, named by a view of
+/// the tree or of the context's arena.
+struct AffineTerm {
+  std::string_view name;
+  long long coeff = 0;
+  bool var = false;
+};
 
 /// Direction classes of one nest level, as a bitmask over the sign of
 /// (t_snk - t_src) in iteration space: "<" means the source iteration is
@@ -79,7 +93,7 @@ enum : unsigned {
 
 /// Per-level entry of a direction/distance vector.
 struct DepLevel {
-  std::string var;          // induction variable of this level
+  std::string_view var;     // induction variable of this level (views the tree)
   unsigned dirs = kDirAll;  // admissible direction classes
   std::optional<long long> distance;  // exact iteration distance when pinned
 
@@ -129,41 +143,98 @@ struct PairResult {
   std::optional<long long> carried_distance() const;
 };
 
-/// Loop-nest context for one analyzed loop: canonical info for every `for`
-/// in the nest, each linked to its enclosing canonical loop, plus the
-/// innermost enclosing canonical loop of every access site. A site's chain
-/// of enclosing loops is rebuilt from the links when a pair is tested.
+/// Loop-nest context for one analyzed loop, built over its LoopScan: the
+/// nest's canonical loops with their lower bounds in affine form, and, on
+/// first use, each tested subscript lowered to iteration-count variables.
+/// Tables and per-pair scratch live in an arena inside the context, so a
+/// typical pair is tested without a heap call; the scratch makes the
+/// context single-threaded.
 class NestContext {
  public:
-  /// `loop` must be a For node that canonicalizes; `accesses` is the scan
-  /// of its body, collect_accesses(loop.child(3)), which the caller already
-  /// holds for its own tests.
-  NestContext(const frontend::Node& loop, const AccessSet& accesses);
+  /// `scan` must be of a canonical loop and outlive the context.
+  explicit NestContext(const LoopScan& scan);
+  NestContext(const NestContext&) = delete;
+  NestContext& operator=(const NestContext&) = delete;
 
-  /// Tests whether `src` and `snk` (accesses of the set the context was
+  /// Tests whether `src` and `snk` (accesses of the scan the context was
   /// built from, at least one a write) can reference the same element, and
   /// on which iteration-distance vectors. Ranks must match (caller's
   /// concern).
-  PairResult test_pair(const Access& src, const Access& snk) const;
+  PairResult test_pair(const Access& src, const Access& snk);
 
-  const CanonicalLoop& analyzed() const { return analyzed_; }
+  const CanonicalLoop& analyzed() const { return loops().front().canon; }
 
  private:
-  struct LoopRec {
-    const LoopRec* outer = nullptr;  // enclosing canonical loop; null at the root
-    std::size_t depth = 1;           // canonical loops from the root to here
-    CanonicalLoop canon;
-    std::optional<long long> trip;
+  /// A run of affine_terms_: an affine form's coefficients and symbols.
+  struct Form {
+    bool affine = false;
+    long long offset = 0;
+    std::uint32_t begin = 0, end = 0;
+  };
+  /// One subscript dimension lowered to iteration-count variables,
+  /// index = lower + step * t(loop) for every bound induction: coefficient
+  /// runs in loop_terms_ and sym_terms_, merged and free of zeros.
+  struct Lowered {
+    bool ready = false;  // computed
+    bool ok = false;     // false: not affine, or an induction is unbound here
+    long long constant = 0;
+    std::uint32_t terms_begin = 0, terms_end = 0;
+    std::uint32_t syms_begin = 0, syms_end = 0;
+  };
+  struct LoopTerm {
+    std::uint32_t loop;
+    long long coeff;
+  };
+  struct SymTerm {
+    std::string_view text;
+    long long coeff;
+  };
+  /// One dimension of the pair under test: src - snk.
+  struct Dim {
+    bool ok = false;           // false: no constraint from this dimension
+    bool text_pinned = false;  // resolved by the identical-subscript rule
+    const Lowered* src = nullptr;
+    const Lowered* snk = nullptr;
+    long long constant = 0;
+  };
+  /// One level of the pair under test: a loop both sites share.
+  struct Level {
+    std::uint32_t loop;
+    bool force_eq = false;  // an identical subscript pins it to `=`
+  };
+  /// Refutation bookkeeping of one pair (see test_pair).
+  struct Mechanisms {
+    bool ziv = false, gcd = false, banerjee = false;
+    DepTest refuter = DepTest::kBanerjee;
   };
 
-  void index_nest(const frontend::Node& node, const LoopRec* enclosing);
-  const LoopRec* innermost_of(const frontend::Node* site) const;
+  const std::pmr::vector<NestLoop>& loops() const;
+  Form build_form(const frontend::Node& expr);
+  const Lowered& lowered(const Access& access, std::size_t dim);
+  bool lower(const Form& form, std::uint32_t inner, long long scale,
+             std::uint32_t terms_begin, std::uint32_t syms_begin, long long& constant);
+  bool identical_subscripts(const frontend::Node& src, const frontend::Node& snk);
+  bool class_possible(const Dim& dim, std::uint32_t lvl, unsigned cls,
+                      Mechanisms& mech) const;
+  std::optional<long long> pinned_distance(const Dim& dim, std::uint32_t lvl) const;
 
-  CanonicalLoop analyzed_;
-  std::vector<std::unique_ptr<LoopRec>> loops_;
-  /// (site, innermost enclosing canonical loop), sorted by site.
-  std::vector<std::pair<const frontend::Node*, const LoopRec*>> sites_;
-  SubscriptEnv env_;
+  alignas(std::max_align_t) std::array<std::byte, 2048> inline_;
+  std::pmr::monotonic_buffer_resource memory_{inline_.data(), inline_.size()};
+  const LoopScan* scan_;
+  /// The subscript environment: the nest's inductions and every scalar the
+  /// body writes.
+  std::pmr::vector<std::string_view> vars_{&memory_};
+  std::pmr::vector<std::string_view> mutated_{&memory_};
+  std::pmr::vector<AffineTerm> affine_terms_{&memory_};
+  std::pmr::vector<Form> lower_bounds_{&memory_};  // per nest loop
+  std::pmr::vector<Lowered> lowered_{&memory_};    // per subscript_table entry
+  std::pmr::vector<LoopTerm> loop_terms_{&memory_};
+  std::pmr::vector<SymTerm> sym_terms_{&memory_};
+  // Per-pair scratch.
+  std::pmr::vector<Dim> dims_{&memory_};
+  std::pmr::vector<Level> common_{&memory_};
+  std::pmr::vector<std::string_view> mentioned_{&memory_};
+  std::string src_text_, snk_text_;
 };
 
 }  // namespace clpp::analysis

@@ -1,11 +1,11 @@
 #include "analysis/depend.h"
 
 #include <algorithm>
-#include <cstdint>
+#include <array>
 #include <cstdlib>
-#include <functional>
-#include <map>
-#include <set>
+#include <memory_resource>
+#include <optional>
+#include <span>
 
 #include "frontend/printer.h"
 #include "obs/metrics.h"
@@ -19,7 +19,7 @@ using frontend::ReductionOp;
 
 namespace {
 
-bool mentions(const Node& expr, const std::string& name) {
+bool mentions(const Node& expr, std::string_view name) {
   bool found = false;
   frontend::walk(expr, [&](const Node& n, int) {
     if (n.kind == NodeKind::kID && n.text == name) found = true;
@@ -27,13 +27,9 @@ bool mentions(const Node& expr, const std::string& name) {
   return found;
 }
 
-/// Printed form of one access, e.g. "A[i][j + 1]".
-std::string access_text(const Access& a) {
-  std::string out = a.variable;
-  for (const Node* s : a.subscripts)
-    out += "[" + frontend::print_expression(*s) + "]";
-  return out;
-}
+/// Printed form of one array access, e.g. "A[i][j + 1]": its site is the
+/// whole subscripted expression.
+std::string access_text(const Access& a) { return frontend::print_expression(*a.site); }
 
 /// "(<, =)"-style rendering of a pair's direction vector.
 std::string direction_vector(const PairResult& pair) {
@@ -97,81 +93,81 @@ DependenceAnalyzer::DependenceAnalyzer(const SideEffectOracle& oracle,
     : oracle_(&oracle), options_(options) {}
 
 LoopVerdict DependenceAnalyzer::analyze(const Node& loop) const {
-  // canonicalize() turns away a For without its four children before the
-  // body is read.
-  return analyze(loop, loop.children.size() == 4 ? collect_accesses(loop.child(3))
-                                                 : AccessSet{});
+  const LoopScan scan(loop);
+  return analyze(scan);
 }
 
-LoopVerdict DependenceAnalyzer::analyze(const Node& loop, const AccessSet& accesses) const {
+LoopVerdict DependenceAnalyzer::analyze(const LoopScan& scan) const {
   LoopVerdict verdict;
-  const auto canonical = canonicalize(loop);
-  if (!canonical) {
+  const CanonicalLoop* canonical = scan.canonical();
+  if (canonical == nullptr) {
     verdict.notes.push_back("loop is not in canonical form");
     return verdict;
   }
   verdict.canonical = true;
   verdict.induction = canonical->induction;
-  verdict.trip_count = canonical->static_trip_count();
+  verdict.trip_count = scan.body().loops.front().trip;
 
-  const Node& body = loop.child(3);
-
-  if (has_early_exit(body)) {
+  const AccessSet& body = scan.body();
+  if (body.hazards.early_exit) {
     verdict.notes.push_back("body has early exit (break/goto/return)");
     return verdict;
   }
 
   // Hazards first: these abort analysis entirely (the "bail" behaviour the
   // paper's ComPar exhibits on 526/3547 test snippets).
-  if (accesses.hazards.function_pointer_call) {
+  if (body.hazards.function_pointer_call) {
     verdict.bailed = true;
     verdict.notes.push_back("call through function pointer");
     return verdict;
   }
-  if (accesses.hazards.struct_access && options_.bail_on_struct_access) {
+  if (body.hazards.struct_access && options_.bail_on_struct_access) {
     verdict.bailed = true;
     verdict.notes.push_back("struct member access unsupported");
     return verdict;
   }
-  if (accesses.hazards.pointer_deref_write) {
+  if (body.hazards.pointer_deref_write) {
     verdict.bailed = true;
     verdict.notes.push_back("write through pointer dereference");
     return verdict;
   }
 
-  // Side effects of calls.
-  std::set<std::string> seen_calls;
-  for (const std::string& callee : accesses.hazards.called_functions) {
-    if (!seen_calls.insert(callee).second) continue;
+  // Side effects of calls, each callee once.
+  const auto& calls = body.hazards.called_functions;
+  for (auto it = calls.begin(); it != calls.end(); ++it) {
+    const std::string_view callee = *it;
+    if (std::find(calls.begin(), it, callee) != it) continue;
     const CallEffect effect = oracle_->effect_of(callee);
+    if (effect == CallEffect::kPure) continue;
+    const std::string quoted = "'" + std::string(callee) + "'";
     switch (effect) {
       case CallEffect::kPure:
         break;
       case CallEffect::kIo:
-        verdict.notes.push_back("calls I/O function '" + callee + "'");
+        verdict.notes.push_back("calls I/O function " + quoted);
         return verdict;
       case CallEffect::kAllocates:
-        verdict.notes.push_back("calls allocator '" + callee + "'");
+        verdict.notes.push_back("calls allocator " + quoted);
         return verdict;
       case CallEffect::kWritesArgs:
         // Serial without testing a pair: a conservative answer, not a proof.
         // Not a bail, which S2S would count as a compile failure.
         verdict.conservative = true;
-        verdict.notes.push_back("call to '" + callee + "' may write shared memory");
+        verdict.notes.push_back("call to " + quoted + " may write shared memory");
         return verdict;
       case CallEffect::kUnknown:
         if (!options_.assume_unknown_calls_pure) {
           verdict.bailed = true;
-          verdict.notes.push_back("unknown side effects of '" + callee + "'");
+          verdict.notes.push_back("unknown side effects of " + quoted);
           return verdict;
         }
-        verdict.notes.push_back("assuming unknown call '" + callee + "' is pure");
+        verdict.notes.push_back("assuming unknown call " + quoted + " is pure");
         break;
     }
   }
 
-  analyze_arrays(loop, accesses, verdict);
-  analyze_scalars(body, canonical->induction, accesses, verdict);
+  analyze_arrays(scan, verdict);
+  analyze_scalars(scan, verdict);
 
   if (!verdict.dependences.empty()) {
     verdict.parallelizable = false;
@@ -190,20 +186,31 @@ LoopVerdict DependenceAnalyzer::analyze(const Node& loop, const AccessSet& acces
   return verdict;
 }
 
-void DependenceAnalyzer::analyze_arrays(const Node& loop, const AccessSet& accesses,
-                                        LoopVerdict& verdict) const {
+void DependenceAnalyzer::analyze_arrays(const LoopScan& scan, LoopVerdict& verdict) const {
+  // Array accesses grouped by name in name order, program order within a
+  // name (the access table is in program order).
+  alignas(std::max_align_t) std::array<std::byte, 1024> inline_bytes;
+  std::pmr::monotonic_buffer_resource memory(inline_bytes.data(), inline_bytes.size());
+  std::pmr::vector<const Access*> arrays(&memory);
+  for (const Access& a : scan.body().accesses)
+    if (a.is_array) arrays.push_back(&a);
+  std::sort(arrays.begin(), arrays.end(), [](const Access* a, const Access* b) {
+    return a->variable != b->variable ? a->variable < b->variable : a < b;
+  });
+
   // Direction/distance vectors per access pair over the whole canonical
-  // nest (see ddtest.h).
-  const NestContext nest(loop, accesses);
-
-  std::map<std::string, std::vector<const Access*>> arrays;
-  for (const Access& a : accesses.accesses)
-    if (a.is_array) arrays[a.variable].push_back(&a);
-
-  for (const auto& [name, list] : arrays) {
+  // nest (see ddtest.h), built on the first pair.
+  std::optional<NestContext> nest;
+  for (auto group = arrays.begin(); group != arrays.end();) {
+    const std::string_view name = (*group)->variable;
+    const auto group_end = std::find_if(
+        group, arrays.end(), [&](const Access* a) { return a->variable != name; });
+    const std::span<const Access* const> list(group, group_end);
+    group = group_end;
     const bool any_write =
         std::any_of(list.begin(), list.end(), [](const Access* a) { return a->is_write; });
     if (!any_write) continue;
+    if (!nest) nest.emplace(scan);
 
     bool reported = false;
     for (std::size_t wi = 0; wi < list.size() && !reported; ++wi) {
@@ -217,18 +224,18 @@ void DependenceAnalyzer::analyze_arrays(const Node& loop, const AccessSet& acces
       for (std::size_t oi = 0; oi < list.size(); ++oi) {
         const Access* other = list[oi];
         if (other->is_write && oi < wi) continue;
+        PairProvenance prov;
+        prov.array = name;
+        prov.src_text = access_text(*w);
+        prov.snk_text = access_text(*other);
+        prov.line = dep_line;
+        ++verdict.dep_pairs_tested;
         if (w->subscripts.size() != other->subscripts.size()) {
-          ++verdict.dep_pairs_tested;
           ++verdict.dep_pairs_unknown;
           count_decision(DepTest::kConservative);
-          PairProvenance prov;
-          prov.array = name;
-          prov.src_text = access_text(*w);
-          prov.snk_text = access_text(*other);
           prov.test = dep_test_name(DepTest::kConservative);
           prov.carried = true;
           prov.exact = false;
-          prov.line = dep_line;
           verdict.pair_provenance.push_back(std::move(prov));
           Dependence mismatch;
           mismatch.variable = name;
@@ -240,35 +247,31 @@ void DependenceAnalyzer::analyze_arrays(const Node& loop, const AccessSet& acces
           reported = true;
           break;
         }
-        ++verdict.dep_pairs_tested;
-        const PairResult pair = nest.test_pair(*w, *other);
+        const PairResult pair = nest->test_pair(*w, *other);
         if (!pair.exact) ++verdict.dep_pairs_unknown;
         count_decision(pair.deciding);
-        PairProvenance prov;
-        prov.array = name;
-        prov.src_text = access_text(*w);
-        prov.snk_text = access_text(*other);
         prov.test = dep_test_name(pair.deciding);
         prov.possible = pair.possible;
         prov.carried = pair.possible && pair.carried();
         prov.exact = pair.exact;
         prov.distance = pair.carried_distance();
         prov.direction = direction_vector(pair);
-        prov.line = dep_line;
-        verdict.pair_provenance.push_back(prov);
-        if (!pair.possible || !pair.carried()) continue;
-
-        Dependence dep;
-        dep.variable = name;
-        dep.line = dep_line;
-        dep.column = dep_column;
-        dep.detail = pair.exact ? "loop-carried dependence"
-                                : "subscript too complex for dependence test";
-        dep.distance = pair.carried_distance();
-        if (dep.distance) dep.distance = std::abs(*dep.distance);
-        dep.direction = prov.direction;
-        dep.deciding_test = prov.test;
-        verdict.dependences.push_back(std::move(dep));
+        const bool carried = prov.carried;
+        if (carried) {
+          Dependence dep;
+          dep.variable = name;
+          dep.line = dep_line;
+          dep.column = dep_column;
+          dep.detail = pair.exact ? "loop-carried dependence"
+                                  : "subscript too complex for dependence test";
+          dep.distance = pair.carried_distance();
+          if (dep.distance) dep.distance = std::abs(*dep.distance);
+          dep.direction = prov.direction;
+          dep.deciding_test = prov.test;
+          verdict.dependences.push_back(std::move(dep));
+        }
+        verdict.pair_provenance.push_back(std::move(prov));
+        if (!carried) continue;
         reported = true;
         break;
       }
@@ -278,34 +281,27 @@ void DependenceAnalyzer::analyze_arrays(const Node& loop, const AccessSet& acces
 
 namespace {
 
-/// Recognizes whether `stmt` is a reduction statement over scalar `s`.
-/// Returns the operator, and appends every node of the statement subtree to
-/// `covered` so the caller can verify no other accesses of `s` exist.
-std::optional<ReductionOp> match_reduction_stmt(const Node& stmt, const std::string& s,
-                                                bool allow_minmax,
-                                                std::set<const Node*>& covered) {
-  auto cover = [&covered](const Node& root) {
-    frontend::walk(root, [&](const Node& n, int) { covered.insert(&n); });
-  };
+/// True when `a` and `b` print as the same expression.
+bool same_text(const Node& a, const Node& b) {
+  std::string a_text, b_text;
+  frontend::append_expression(a, a_text);
+  frontend::append_expression(b, b_text);
+  return a_text == b_text;
+}
 
+/// Recognizes whether `stmt` is a reduction statement over scalar `s` and
+/// returns the operator.
+std::optional<ReductionOp> match_reduction_stmt(const Node& stmt, std::string_view s,
+                                                bool allow_minmax) {
   const Node* expr = &stmt;
   if (expr->kind == NodeKind::kExprStmt) expr = &expr->child(0);
 
   if (expr->kind == NodeKind::kAssignment && expr->child(0).kind == NodeKind::kID &&
       expr->child(0).text == s) {
     const Node& rhs = expr->child(1);
-    if (expr->text == "+=" && !mentions(rhs, s)) {
-      cover(stmt);
-      return ReductionOp::kAdd;
-    }
-    if (expr->text == "-=" && !mentions(rhs, s)) {
-      cover(stmt);
-      return ReductionOp::kSub;
-    }
-    if (expr->text == "*=" && !mentions(rhs, s)) {
-      cover(stmt);
-      return ReductionOp::kMul;
-    }
+    if (expr->text == "+=" && !mentions(rhs, s)) return ReductionOp::kAdd;
+    if (expr->text == "-=" && !mentions(rhs, s)) return ReductionOp::kSub;
+    if (expr->text == "*=" && !mentions(rhs, s)) return ReductionOp::kMul;
     if (expr->text == "=") {
       // s = s + e | s = e + s | s = s * e | s = e * s | s = fmax(s, e)...
       if (rhs.kind == NodeKind::kBinaryOp && (rhs.text == "+" || rhs.text == "*")) {
@@ -313,23 +309,16 @@ std::optional<ReductionOp> match_reduction_stmt(const Node& stmt, const std::str
         const Node& r = rhs.child(1);
         const bool l_is_s = l.kind == NodeKind::kID && l.text == s;
         const bool r_is_s = r.kind == NodeKind::kID && r.text == s;
-        if (l_is_s != r_is_s) {
-          const Node& other = l_is_s ? r : l;
-          if (!mentions(other, s)) {
-            cover(stmt);
-            return rhs.text == "+" ? ReductionOp::kAdd : ReductionOp::kMul;
-          }
-        }
+        if (l_is_s != r_is_s && !mentions(l_is_s ? r : l, s))
+          return rhs.text == "+" ? ReductionOp::kAdd : ReductionOp::kMul;
       }
       if (rhs.kind == NodeKind::kBinaryOp && rhs.text == "-") {
         const Node& l = rhs.child(0);
-        if (l.kind == NodeKind::kID && l.text == s && !mentions(rhs.child(1), s)) {
-          cover(stmt);
+        if (l.kind == NodeKind::kID && l.text == s && !mentions(rhs.child(1), s))
           return ReductionOp::kSub;
-        }
       }
       if (rhs.kind == NodeKind::kFuncCall && rhs.child(0).kind == NodeKind::kID) {
-        const std::string& fn = rhs.child(0).text;
+        const std::string_view fn = rhs.child(0).text;
         if ((fn == "fmax" || fn == "fmin" || fn == "max" || fn == "min" ||
              fn == "MAX" || fn == "MIN") &&
             rhs.child(1).children.size() == 2) {
@@ -338,7 +327,6 @@ std::optional<ReductionOp> match_reduction_stmt(const Node& stmt, const std::str
           const bool first_is_s = a0.kind == NodeKind::kID && a0.text == s;
           const bool second_is_s = a1.kind == NodeKind::kID && a1.text == s;
           if (first_is_s != second_is_s) {
-            cover(stmt);
             const bool is_max = fn == "fmax" || fn == "max" || fn == "MAX";
             return is_max ? ReductionOp::kMax : ReductionOp::kMin;
           }
@@ -359,126 +347,100 @@ std::optional<ReductionOp> match_reduction_stmt(const Node& stmt, const std::str
         assign->text == "=" && assign->child(0).kind == NodeKind::kID &&
         assign->child(0).text == s) {
       const Node& value = assign->child(1);
-      const std::string value_text = frontend::print_expression(value);
-      const std::string l_text = frontend::print_expression(cond.child(0));
-      const std::string r_text = frontend::print_expression(cond.child(1));
       const bool l_is_s = cond.child(0).kind == NodeKind::kID && cond.child(0).text == s;
       const bool r_is_s = cond.child(1).kind == NodeKind::kID && cond.child(1).text == s;
-      if ((cond.text == ">" || cond.text == ">=") && r_is_s && l_text == value_text) {
-        cover(stmt);
-        return ReductionOp::kMax;  // if (e > s) s = e
-      }
-      if ((cond.text == "<" || cond.text == "<=") && r_is_s && l_text == value_text) {
-        cover(stmt);
-        return ReductionOp::kMin;
-      }
-      if ((cond.text == "<" || cond.text == "<=") && l_is_s && r_text == value_text) {
-        cover(stmt);
-        return ReductionOp::kMax;  // if (s < e) s = e
-      }
-      if ((cond.text == ">" || cond.text == ">=") && l_is_s && r_text == value_text) {
-        cover(stmt);
-        return ReductionOp::kMin;
-      }
+      const bool greater = cond.text == ">" || cond.text == ">=";
+      const bool less = cond.text == "<" || cond.text == "<=";
+      // if (e > s) s = e  /  if (e < s) s = e
+      if ((greater || less) && r_is_s && same_text(cond.child(0), value))
+        return greater ? ReductionOp::kMax : ReductionOp::kMin;
+      // if (s < e) s = e  /  if (s > e) s = e
+      if ((greater || less) && l_is_s && same_text(cond.child(1), value))
+        return less ? ReductionOp::kMax : ReductionOp::kMin;
     }
   }
   return std::nullopt;
 }
 
-/// Collects the reduction statements for `s` anywhere in the body.
-std::optional<ReductionOp> find_reduction(const Node& body, const std::string& s,
-                                          bool allow_minmax,
-                                          std::set<const Node*>& covered) {
-  std::optional<ReductionOp> op;
-  bool conflict = false;
-  std::function<void(const Node&)> scan = [&](const Node& node) {
-    std::set<const Node*> local;
-    if (auto matched = match_reduction_stmt(node, s, allow_minmax, local)) {
-      if (op && *op != *matched) conflict = true;
-      op = matched;
-      covered.insert(local.begin(), local.end());
-      return;  // statement consumed; don't descend further
-    }
-    for (const auto& c : node.children) scan(*c);
-  };
-  scan(body);
-  if (conflict) return std::nullopt;
-  return op;
+/// Accesses of `s` whose site lies in the subtree of `root`.
+std::size_t accesses_within(const Node& root, std::string_view s,
+                            const AccessSet& accesses) {
+  std::size_t count = 0;
+  frontend::walk(root, [&](const Node& n, int) {
+    const bool site = n.kind == NodeKind::kID || n.kind == NodeKind::kArrayRef ||
+                      n.kind == NodeKind::kDecl;
+    if (!site) return;
+    for (const Access& a : accesses.accesses) count += a.site == &n && a.variable == s;
+  });
+  return count;
+}
+
+/// Reduction statements for `s` in the body, outermost first; `covered`
+/// counts the accesses of `s` inside them.
+void find_reductions(const Node& node, std::string_view s, bool allow_minmax,
+                     const AccessSet& accesses, std::optional<ReductionOp>& op,
+                     bool& conflict, std::size_t& covered) {
+  if (auto matched = match_reduction_stmt(node, s, allow_minmax)) {
+    if (op && *op != *matched) conflict = true;
+    op = matched;
+    covered += accesses_within(node, s, accesses);
+    return;  // statement consumed; don't descend further
+  }
+  for (const Node* c : node.children)
+    find_reductions(*c, s, allow_minmax, accesses, op, conflict, covered);
 }
 
 }  // namespace
 
-void DependenceAnalyzer::analyze_scalars(const Node& body, const std::string& induction,
-                                         const AccessSet& accesses,
-                                         LoopVerdict& verdict) const {
-  // Scalars declared inside the body are iteration-local by construction.
-  std::set<std::string> local_decls;
-  frontend::walk(body, [&](const Node& node, int) {
-    if (node.kind == NodeKind::kDecl) local_decls.insert(node.text);
-  });
-
-  // Sites that execute conditionally (inside an If branch or a ternary
-  // arm). A conditional first write does NOT privatize: on iterations where
-  // the guard is false the stale value is observed — the lastprivate trap.
-  std::set<const Node*> conditional_sites;
-  frontend::walk(body, [&](const Node& node, int) {
-    const std::size_t first_branch =
-        node.kind == NodeKind::kIf || node.kind == NodeKind::kTernaryOp ? 1 : SIZE_MAX;
-    for (std::size_t b = first_branch; b < node.children.size(); ++b)
-      frontend::walk(node.child(b), [&](const Node& inner, int) {
-        conditional_sites.insert(&inner);
-      });
-  });
-
-  // Induction variables of nested canonical loops are privatizable.
-  std::set<std::string> nested_inductions;
-  frontend::walk(body, [&](const Node& node, int) {
-    if (node.kind != NodeKind::kFor) return;
-    if (auto inner = canonicalize(node)) nested_inductions.insert(inner->induction);
-  });
-
-  std::set<std::string> handled;
-  for (const Access& access : accesses.accesses) {
+void DependenceAnalyzer::analyze_scalars(const LoopScan& scan, LoopVerdict& verdict) const {
+  const AccessSet& body = scan.body();
+  const std::string_view induction = scan.canonical()->induction;
+  const auto& accesses = body.accesses;
+  for (auto it = accesses.begin(); it != accesses.end(); ++it) {
+    const Access& access = *it;
     if (access.is_array || !access.is_write) continue;
-    const std::string& name = access.variable;
+    const std::string_view name = access.variable;
     if (name == induction) continue;  // privatized by the runtime
-    if (!handled.insert(name).second) continue;
+    // Each scalar once, at its first write.
+    if (std::any_of(accesses.begin(), it, [&](const Access& a) {
+          return !a.is_array && a.is_write && a.variable == name;
+        }))
+      continue;
 
-    if (local_decls.count(name)) continue;  // block-scoped: already private
+    // Scalars declared inside the body are iteration-local by construction.
+    if (std::find(body.decls.begin(), body.decls.end(), name) != body.decls.end()) continue;
 
-    if (nested_inductions.count(name)) {
-      verdict.private_candidates.push_back(name);
+    // Induction variables of nested canonical loops are privatizable.
+    if (std::any_of(body.loops.begin() + 1, body.loops.end(),
+                    [&](const NestLoop& loop) { return loop.canon.induction == name; })) {
+      verdict.private_candidates.emplace_back(name);
       continue;
     }
 
-    // Reduction idiom?
+    // Reduction idiom? Every access of the scalar must belong to a
+    // reduction statement.
     if (options_.recognize_reduction) {
-      std::set<const Node*> covered;
-      if (auto op = find_reduction(body, name, options_.recognize_minmax_reduction,
-                                   covered)) {
-        // Every access of this scalar must belong to a reduction statement.
-        const bool all_covered = std::all_of(
-            accesses.accesses.begin(), accesses.accesses.end(), [&](const Access& a) {
-              return a.variable != name || covered.count(a.site) > 0;
-            });
-        if (all_covered && !covered.empty()) {
-          verdict.reductions.push_back(Reduction{*op, name});
-          continue;
-        }
+      std::optional<ReductionOp> op;
+      bool conflict = false;
+      std::size_t covered = 0;
+      find_reductions(scan.loop().child(3), name, options_.recognize_minmax_reduction, body,
+                      op, conflict, covered);
+      if (op && !conflict &&
+          covered == static_cast<std::size_t>(std::count_if(
+                         accesses.begin(), accesses.end(),
+                         [&](const Access& a) { return a.variable == name; }))) {
+        verdict.reductions.push_back(Reduction{*op, std::string(name)});
+        continue;
       }
     }
 
     // Privatizable? Def-before-use within the body: the first access in
-    // program order must be a write that executes unconditionally.
-    const Access* first = nullptr;
-    for (const Access& a : accesses.accesses) {
-      if (a.variable == name && !a.is_array) {
-        first = &a;
-        break;
-      }
-    }
-    if (first && first->is_write && conditional_sites.count(first->site) == 0) {
-      verdict.private_candidates.push_back(name);
+    // program order must be a write that executes unconditionally. A
+    // conditional first write does NOT privatize: on iterations where the
+    // guard is false the stale value is observed — the lastprivate trap.
+    const Access* first = body.first_scalar_access(name);
+    if (first && first->is_write && !first->conditional) {
+      verdict.private_candidates.emplace_back(name);
       continue;
     }
 

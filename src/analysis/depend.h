@@ -116,15 +116,13 @@ class DependenceAnalyzer {
   /// Analyzes one For node in full.
   LoopVerdict analyze(const frontend::Node& loop) const;
 
-  /// Same, over `accesses` = collect_accesses(loop.child(3)) that the
-  /// caller already holds, so the body is scanned once.
-  LoopVerdict analyze(const frontend::Node& loop, const AccessSet& accesses) const;
+  /// Same, over a scan of the loop that the caller already holds for its
+  /// own rules, so the loop is read once.
+  LoopVerdict analyze(const LoopScan& scan) const;
 
  private:
-  void analyze_arrays(const frontend::Node& loop, const AccessSet& accesses,
-                      LoopVerdict& verdict) const;
-  void analyze_scalars(const frontend::Node& body, const std::string& induction,
-                       const AccessSet& accesses, LoopVerdict& verdict) const;
+  void analyze_arrays(const LoopScan& scan, LoopVerdict& verdict) const;
+  void analyze_scalars(const LoopScan& scan, LoopVerdict& verdict) const;
 
   const SideEffectOracle* oracle_;
   AnalyzerOptions options_;

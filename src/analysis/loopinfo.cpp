@@ -1,7 +1,8 @@
 #include "analysis/loopinfo.h"
 
 #include <cmath>
-#include <functional>
+
+#include "frontend/lexer.h"
 
 namespace clpp::analysis {
 
@@ -9,13 +10,8 @@ using frontend::Node;
 using frontend::NodeKind;
 
 std::optional<long long> literal_value(const Node& expr) {
-  if (expr.kind == NodeKind::kConstant && expr.aux == "int") {
-    try {
-      return std::stoll(expr.text);
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-  }
+  if (expr.kind == NodeKind::kConstant && expr.aux == "int")
+    return frontend::int_literal_value(expr.text);
   if (expr.kind == NodeKind::kUnaryOp && expr.text == "-") {
     if (auto inner = literal_value(expr.child(0))) return -*inner;
   }
@@ -41,7 +37,7 @@ std::optional<long long> CanonicalLoop::static_trip_count() const {
 namespace {
 
 /// Extracts (var, lower) from the init clause.
-bool match_init(const Node& init, std::string& var, const Node*& lower,
+bool match_init(const Node& init, std::string_view& var, const Node*& lower,
                 bool& declared) {
   if (init.kind == NodeKind::kDecl) {
     // `int i = expr` — dims would make this non-canonical.
@@ -63,7 +59,7 @@ bool match_init(const Node& init, std::string& var, const Node*& lower,
 }
 
 /// Extracts the relation and bound from the condition clause.
-bool match_cond(const Node& cond, const std::string& var, std::string& relation,
+bool match_cond(const Node& cond, std::string_view var, std::string_view& relation,
                 const Node*& upper) {
   if (cond.kind != NodeKind::kBinaryOp) return false;
   if (cond.text != "<" && cond.text != "<=" && cond.text != ">" && cond.text != ">=")
@@ -86,7 +82,7 @@ bool match_cond(const Node& cond, const std::string& var, std::string& relation,
 }
 
 /// Extracts the signed step from the increment clause.
-bool match_step(const Node& next, const std::string& var, long long& step) {
+bool match_step(const Node& next, std::string_view var, long long& step) {
   if (next.kind == NodeKind::kUnaryOp) {
     if (next.child(0).kind != NodeKind::kID || next.child(0).text != var) return false;
     if (next.text == "++" || next.text == "p++") {
@@ -141,55 +137,6 @@ std::optional<CanonicalLoop> canonicalize(const Node& loop) {
   if (upward && out.step <= 0) return std::nullopt;
   if (!upward && out.step >= 0) return std::nullopt;
   return out;
-}
-
-bool has_early_exit(const Node& body) {
-  bool found = false;
-  frontend::walk(body, [&](const Node& node, int) {
-    switch (node.kind) {
-      case NodeKind::kBreak:
-      case NodeKind::kGoto:
-      case NodeKind::kReturn:
-        found = true;
-        break;
-      case NodeKind::kFor:
-      case NodeKind::kWhile:
-      case NodeKind::kDoWhile:
-        // `break` inside a nested loop exits that loop, not ours — but the
-        // generic walk cannot tell; stay conservative only for goto/return,
-        // which always escape. (break handled by the nested scan below.)
-        break;
-      default:
-        break;
-    }
-  });
-  if (found) {
-    // Refine: allow break/goto only if none actually escapes the outer body.
-    // A precise scan: break directly in our body (not nested in a loop or
-    // switch) escapes; goto/return always escape.
-    found = false;
-    std::function<void(const Node&, bool)> scan = [&](const Node& node, bool in_nested) {
-      switch (node.kind) {
-        case NodeKind::kReturn:
-        case NodeKind::kGoto:
-          found = true;
-          return;
-        case NodeKind::kBreak:
-          if (!in_nested) found = true;
-          return;
-        case NodeKind::kFor:
-        case NodeKind::kWhile:
-        case NodeKind::kDoWhile:
-          for (const auto& c : node.children) scan(*c, true);
-          return;
-        default:
-          for (const auto& c : node.children) scan(*c, in_nested);
-          return;
-      }
-    };
-    scan(body, false);
-  }
-  return found;
 }
 
 }  // namespace clpp::analysis

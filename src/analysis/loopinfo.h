@@ -8,7 +8,7 @@
 #pragma once
 
 #include <optional>
-#include <string>
+#include <string_view>
 
 #include "frontend/ast.h"
 
@@ -17,12 +17,12 @@ namespace clpp::analysis {
 /// Direction of the canonical induction.
 enum class LoopDirection { kUp, kDown };
 
-/// Canonical form of one `for` loop.
+/// Canonical form of one `for` loop. Its names view the loop's tree.
 struct CanonicalLoop {
-  std::string induction;         // induction variable name
+  std::string_view induction;    // induction variable name
   const frontend::Node* lower = nullptr;  // init expression (rhs)
   const frontend::Node* upper = nullptr;  // bound expression
-  std::string relation;          // "<", "<=", ">", ">="
+  std::string_view relation;     // "<", "<=", ">", ">="
   long long step = 1;            // signed step (from i++, i+=c, i-=c, i--)
   LoopDirection direction = LoopDirection::kUp;
   bool declared_in_init = false; // `for (int i = ...)`
@@ -37,11 +37,8 @@ struct CanonicalLoop {
 /// refuse to transform.
 std::optional<CanonicalLoop> canonicalize(const frontend::Node& loop);
 
-/// Integer literal value of an expression node, if it is one.
+/// Integer literal value of an expression node, if it is one: a C integer
+/// literal (frontend::int_literal_value), possibly negated.
 std::optional<long long> literal_value(const frontend::Node& expr);
-
-/// True when the subtree contains any of: break, goto, return — control
-/// flow that forbids worksharing.
-bool has_early_exit(const frontend::Node& body);
 
 }  // namespace clpp::analysis

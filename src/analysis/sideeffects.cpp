@@ -14,7 +14,7 @@ CallEffect worse(CallEffect a, CallEffect b) {
   return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
 }
 
-bool SideEffectOracle::is_whitelisted_pure(const std::string& name) {
+bool SideEffectOracle::is_whitelisted_pure(std::string_view name) {
   static constexpr std::array kPure = {
       "sqrt",  "sqrtf", "fabs",  "fabsf", "abs",   "sin",   "cos",   "tan",
       "asin",  "acos",  "atan",  "atan2", "exp",   "expf",  "log",   "logf",
@@ -23,7 +23,7 @@ bool SideEffectOracle::is_whitelisted_pure(const std::string& name) {
   return std::find(kPure.begin(), kPure.end(), name) != kPure.end();
 }
 
-bool SideEffectOracle::is_known_io(const std::string& name) {
+bool SideEffectOracle::is_known_io(std::string_view name) {
   static constexpr std::array kIo = {"printf",  "fprintf", "sprintf", "snprintf",
                                      "scanf",   "fscanf",  "sscanf",  "puts",
                                      "fputs",   "fgets",   "getchar", "putchar",
@@ -33,7 +33,7 @@ bool SideEffectOracle::is_known_io(const std::string& name) {
   return std::find(kIo.begin(), kIo.end(), name) != kIo.end();
 }
 
-bool SideEffectOracle::is_known_alloc(const std::string& name) {
+bool SideEffectOracle::is_known_alloc(std::string_view name) {
   static constexpr std::array kAlloc = {"malloc", "calloc", "realloc", "free",
                                         "memcpy", "memset", "memmove", "strcpy",
                                         "strcat", "strlen"};
@@ -48,20 +48,24 @@ SideEffectOracle::SideEffectOracle(const Node& unit) {
   });
 }
 
-CallEffect SideEffectOracle::effect_of(const std::string& name) const {
-  std::vector<std::string> in_progress;
+CallEffect SideEffectOracle::effect_of(std::string_view name) const {
+  std::vector<std::string_view> in_progress;
   return classify(name, in_progress);
 }
 
-CallEffect SideEffectOracle::classify(const std::string& name,
-                                      std::vector<std::string>& in_progress) const {
+CallEffect SideEffectOracle::classify(std::string_view name,
+                                      std::vector<std::string_view>& in_progress) const {
   if (auto it = cache_.find(name); it != cache_.end()) return it->second;
-  if (is_known_io(name)) return cache_[name] = CallEffect::kIo;
-  if (is_known_alloc(name)) return cache_[name] = CallEffect::kAllocates;
-  if (is_whitelisted_pure(name)) return cache_[name] = CallEffect::kPure;
+  const auto remember = [&](CallEffect effect) {
+    cache_.emplace(name, effect);
+    return effect;
+  };
+  if (is_known_io(name)) return remember(CallEffect::kIo);
+  if (is_known_alloc(name)) return remember(CallEffect::kAllocates);
+  if (is_whitelisted_pure(name)) return remember(CallEffect::kPure);
 
   auto it = bodies_.find(name);
-  if (it == bodies_.end()) return cache_[name] = CallEffect::kUnknown;
+  if (it == bodies_.end()) return remember(CallEffect::kUnknown);
   // Recursion guard: a cycle means we cannot prove purity.
   if (std::find(in_progress.begin(), in_progress.end(), name) != in_progress.end())
     return CallEffect::kUnknown;
@@ -74,18 +78,15 @@ CallEffect SideEffectOracle::classify(const std::string& name,
 
   CallEffect effect = CallEffect::kPure;
   // Callee's own calls.
-  for (const std::string& callee : accesses.hazards.called_functions)
+  for (const std::string_view callee : accesses.hazards.called_functions)
     effect = worse(effect, classify(callee, in_progress));
   if (accesses.hazards.function_pointer_call) effect = CallEffect::kUnknown;
 
   // Writes: local declarations are fine; writes to parameters passed as
   // pointers/arrays (or to names not declared locally = globals) are not.
-  std::vector<std::string> locals;
-  frontend::walk(body, [&](const Node& node, int) {
-    if (node.kind == NodeKind::kDecl) locals.push_back(node.text);
-  });
-  std::vector<std::string> pointer_params;
-  std::vector<std::string> value_params;
+  const auto& locals = accesses.decls;
+  std::vector<std::string_view> pointer_params;
+  std::vector<std::string_view> value_params;
   for (const auto& p : params.children) {
     const bool is_pointer = p->aux.find('*') != std::string::npos ||
                             p->aux.find("[]") != std::string::npos;
@@ -110,7 +111,7 @@ CallEffect SideEffectOracle::classify(const std::string& name,
     effect = worse(effect, CallEffect::kWritesArgs);
 
   in_progress.pop_back();
-  return cache_[name] = effect;
+  return remember(effect);
 }
 
 }  // namespace clpp::analysis

@@ -8,8 +8,10 @@
 // whitelist of libm-style pure functions.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "frontend/ast.h"
@@ -34,21 +36,21 @@ class SideEffectOracle {
   explicit SideEffectOracle(const frontend::Node& unit);
 
   /// Effect of calling `name`.
-  CallEffect effect_of(const std::string& name) const;
+  CallEffect effect_of(std::string_view name) const;
 
   /// True if `name` is on the built-in pure whitelist (libm etc.).
-  static bool is_whitelisted_pure(const std::string& name);
+  static bool is_whitelisted_pure(std::string_view name);
   /// True if `name` is a known I/O function.
-  static bool is_known_io(const std::string& name);
+  static bool is_known_io(std::string_view name);
   /// True if `name` is a known allocation function.
-  static bool is_known_alloc(const std::string& name);
+  static bool is_known_alloc(std::string_view name);
 
  private:
-  CallEffect classify(const std::string& name,
-                      std::vector<std::string>& in_progress) const;
+  CallEffect classify(std::string_view name,
+                      std::vector<std::string_view>& in_progress) const;
 
-  std::map<std::string, const frontend::Node*> bodies_;
-  mutable std::map<std::string, CallEffect> cache_;
+  std::map<std::string, const frontend::Node*, std::less<>> bodies_;
+  mutable std::map<std::string, CallEffect, std::less<>> cache_;
 };
 
 /// Severity order for combining effects.

@@ -30,7 +30,7 @@ std::string induction_of(const std::string& code) {
     });
     if (loop != nullptr)
       if (const auto canonical = analysis::canonicalize(*loop))
-        return canonical->induction;
+        return std::string(canonical->induction);
   } catch (const ParseError&) {
   }
   return {};

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
+#include <climits>
 
 #include "support/error.h"
 #include "support/strings.h"
@@ -379,6 +381,24 @@ std::string_view spelling(TokenId id) {
 }
 
 void lex_into(std::span<char> source, std::vector<Token>& out) { Lexer(source, out).run(); }
+
+std::optional<long long> int_literal_value(std::string_view text) {
+  while (!text.empty() && std::string_view("uUlL").find(text.back()) != std::string_view::npos)
+    text.remove_suffix(1);
+  int base = 10;
+  if (text.size() > 1 && text[0] == '0') {
+    const bool hex = text[1] == 'x' || text[1] == 'X';
+    base = hex ? 16 : 8;
+    text.remove_prefix(hex ? 2 : 1);
+  }
+  unsigned long long value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value, base);
+  if (text.empty() || error != std::errc{} || stop != end ||
+      value > static_cast<unsigned long long>(LLONG_MAX))
+    return std::nullopt;
+  return static_cast<long long>(value);
+}
 
 TokenList lex(std::string_view source) {
   TokenList list;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -42,5 +43,11 @@ TokenList lex(std::string_view source);
 /// `source`, which must be the caller's own copy: a pragma line's
 /// backslash-newline splices are rewritten in place.
 void lex_into(std::span<char> source, std::vector<Token>& out);
+
+/// Value of a C integer literal: decimal, `0x` hexadecimal or leading-`0`
+/// octal digits, then any `u`/`l` suffix ("0x10", "010", "16ul" all read
+/// 16, 8 and 16). nullopt for anything else, a sign or spaces included, and
+/// for a value above LLONG_MAX.
+std::optional<long long> int_literal_value(std::string_view text);
 
 }  // namespace clpp::frontend

@@ -1,7 +1,10 @@
 #include "frontend/pragma.h"
 
 #include <cctype>
+#include <climits>
+#include <optional>
 
+#include "frontend/lexer.h"
 #include "support/strings.h"
 
 namespace clpp::frontend {
@@ -115,6 +118,13 @@ std::vector<std::string> split_list(const std::string& body) {
   return out;
 }
 
+/// A clause's integer argument: one C integer literal that fits an int.
+std::optional<int> int_argument(std::string_view text) {
+  const auto value = int_literal_value(trim(text));
+  if (!value || *value > INT_MAX) return std::nullopt;
+  return static_cast<int>(*value);
+}
+
 std::string_view strip_prefix(std::string_view text) {
   std::string_view rest = trim(text);
   if (starts_with(rest, "#")) rest = trim(rest.substr(1));
@@ -174,33 +184,25 @@ OmpDirective parse_omp_pragma(std::string_view text) {
           else if (kind == "auto") directive.schedule = ScheduleKind::kAuto;
           else if (kind == "runtime") directive.schedule = ScheduleKind::kRuntime;
           else directive.unknown_clauses.push_back("schedule(" + body + ")");
-          if (parts.size() > 1) {
-            try {
-              directive.schedule_chunk = std::stoi(parts[1]);
-            } catch (const std::exception&) {
-              directive.schedule_chunk = 0;
-            }
-          }
+          if (parts.size() > 1) directive.schedule_chunk = int_argument(parts[1]).value_or(0);
         }
       }
     } else if (word == "collapse") {
       std::string body;
       if (scanner.paren_body(body)) {
-        try {
-          directive.collapse = std::stoi(body);
-        } catch (const std::exception&) {
+        if (const auto value = int_argument(body))
+          directive.collapse = *value;
+        else
           directive.unknown_clauses.push_back("collapse(" + body + ")");
-        }
       }
     } else if (word == "safelen" || word == "simdlen") {
       std::string body;
       if (scanner.paren_body(body)) {
         int& slot = word == "safelen" ? directive.safelen : directive.simdlen;
-        try {
-          slot = std::stoi(body);
-        } catch (const std::exception&) {
+        if (const auto value = int_argument(body))
+          slot = *value;
+        else
           directive.unknown_clauses.push_back(word + "(" + body + ")");
-        }
       }
     } else if (word == "num_threads") {
       std::string body;

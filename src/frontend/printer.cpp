@@ -8,6 +8,103 @@ namespace clpp::frontend {
 
 namespace {
 
+void append_list(const Node& list, std::string& out);
+
+/// Appends `node` to `out`; a non-`top` operator is parenthesized.
+void append_expr(const Node& node, bool top, std::string& out) {
+  switch (node.kind) {
+    case NodeKind::kID:
+      out += node.text;
+      return;
+    case NodeKind::kConstant: {
+      const char quote = node.aux == "string" ? '"' : node.aux == "char" ? '\'' : 0;
+      if (quote != 0) out += quote;
+      out += node.text;
+      if (quote != 0) out += quote;
+      return;
+    }
+    case NodeKind::kAssignment:
+    case NodeKind::kBinaryOp:
+      if (!top) out += '(';
+      append_expr(node.child(0), false, out);
+      out += ' ';
+      out += node.text;
+      out += ' ';
+      append_expr(node.child(1), false, out);
+      if (!top) out += ')';
+      return;
+    case NodeKind::kUnaryOp:
+      if (node.text == "p++" || node.text == "p--") {
+        append_expr(node.child(0), false, out);
+        out += node.text.substr(1);
+        return;
+      }
+      if (!top) out += '(';
+      out += node.text;
+      append_expr(node.child(0), false, out);
+      if (!top) out += ')';
+      return;
+    case NodeKind::kTernaryOp:
+      out += '(';
+      append_expr(node.child(0), false, out);
+      out += " ? ";
+      append_expr(node.child(1), false, out);
+      out += " : ";
+      append_expr(node.child(2), false, out);
+      out += ')';
+      return;
+    case NodeKind::kArrayRef:
+      append_expr(node.child(0), false, out);
+      out += '[';
+      append_expr(node.child(1), true, out);
+      out += ']';
+      return;
+    case NodeKind::kFuncCall:
+      append_expr(node.child(0), false, out);
+      out += '(';
+      append_list(node.child(1), out);
+      out += ')';
+      return;
+    case NodeKind::kExprList:
+      if (!top) out += '(';
+      append_list(node, out);
+      if (!top) out += ')';
+      return;
+    case NodeKind::kStructRef:
+      append_expr(node.child(0), false, out);
+      out += node.text;
+      out += node.child(1).text;
+      return;
+    case NodeKind::kCast:
+      out += '(';
+      out += node.text;
+      out += ") ";
+      append_expr(node.child(0), false, out);
+      return;
+    case NodeKind::kSizeof:
+      out += "sizeof(";
+      if (node.children.empty())
+        out += node.text;
+      else
+        append_expr(node.child(0), true, out);
+      out += ')';
+      return;
+    case NodeKind::kEmpty:
+      return;
+    default:
+      out += "/* " + node_kind_name(node.kind) + " */";
+      return;
+  }
+}
+
+/// Appends `list`'s items, comma-separated, each printed as a top level.
+void append_list(const Node& list, std::string& out) {
+  for (std::size_t i = 0; i < list.children.size(); ++i) {
+    if (i) out += ", ";
+    append_expr(list.child(i), true, out);
+  }
+}
+
 /// Pretty-printer with parenthesization driven by re-parse safety: all
 /// nested binary/ternary operands are parenthesized unless they are atoms.
 /// The output is valid C that round-trips through the parser (possibly with
@@ -19,8 +116,6 @@ class Printer {
     stmt(os, node, indent);
     return os.str();
   }
-
-  std::string expression(const Node& node) { return expr(node, /*top=*/true); }
 
  private:
   static std::string pad(int indent) {
@@ -183,63 +278,9 @@ class Printer {
   }
 
   std::string expr(const Node& node, bool top) {
-    switch (node.kind) {
-      case NodeKind::kID:
-        return node.text;
-      case NodeKind::kConstant:
-        if (node.aux == "string") return '"' + std::string(node.text) + '"';
-        if (node.aux == "char") return '\'' + std::string(node.text) + '\'';
-        return node.text;
-      case NodeKind::kAssignment:
-      case NodeKind::kBinaryOp: {
-        const std::string s = expr(node.child(0), false) + " " + std::string(node.text) +
-                              " " + expr(node.child(1), false);
-        return top ? s : "(" + s + ")";
-      }
-      case NodeKind::kUnaryOp: {
-        if (node.text == "p++" || node.text == "p--")
-          return expr(node.child(0), false) + std::string(node.text.substr(1));
-        const std::string s = std::string(node.text) + expr(node.child(0), false);
-        return top ? s : "(" + s + ")";
-      }
-      case NodeKind::kTernaryOp: {
-        const std::string s = expr(node.child(0), false) + " ? " +
-                              expr(node.child(1), false) + " : " +
-                              expr(node.child(2), false);
-        return "(" + s + ")";
-      }
-      case NodeKind::kArrayRef:
-        return expr(node.child(0), false) + "[" + expr(node.child(1), true) + "]";
-      case NodeKind::kFuncCall: {
-        std::string s = expr(node.child(0), false) + "(";
-        const Node& args = node.child(1);
-        for (std::size_t i = 0; i < args.children.size(); ++i) {
-          if (i) s += ", ";
-          s += expr(args.child(i), true);
-        }
-        return s + ")";
-      }
-      case NodeKind::kExprList: {
-        std::string s;
-        for (std::size_t i = 0; i < node.children.size(); ++i) {
-          if (i) s += ", ";
-          s += expr(node.child(i), true);
-        }
-        return top ? s : "(" + s + ")";
-      }
-      case NodeKind::kStructRef:
-        return expr(node.child(0), false) + std::string(node.text) +
-               std::string(node.child(1).text);
-      case NodeKind::kCast:
-        return "(" + std::string(node.text) + ") " + expr(node.child(0), false);
-      case NodeKind::kSizeof:
-        if (node.children.empty()) return "sizeof(" + std::string(node.text) + ")";
-        return "sizeof(" + expr(node.child(0), true) + ")";
-      case NodeKind::kEmpty:
-        return "";
-      default:
-        return "/* " + node_kind_name(node.kind) + " */";
-    }
+    std::string out;
+    append_expr(node, top, out);
+    return out;
   }
 };
 
@@ -249,6 +290,12 @@ std::string print_source(const Node& node, int indent) {
   return Printer{}.statement(node, indent);
 }
 
-std::string print_expression(const Node& node) { return Printer{}.expression(node); }
+std::string print_expression(const Node& node) {
+  std::string out;
+  append_expr(node, /*top=*/true, out);
+  return out;
+}
+
+void append_expression(const Node& node, std::string& out) { append_expr(node, true, out); }
 
 }  // namespace clpp::frontend

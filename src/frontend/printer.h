@@ -18,4 +18,7 @@ std::string print_source(const Node& node, int indent = 0);
 /// Renders an expression subtree on one line (no trailing semicolon).
 std::string print_expression(const Node& node);
 
+/// Appends print_expression(node) to `out`, reusing its capacity.
+void append_expression(const Node& node, std::string& out);
+
 }  // namespace clpp::frontend

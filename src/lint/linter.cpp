@@ -1,8 +1,9 @@
 #include "lint/linter.h"
 
 #include <algorithm>
-#include <set>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/accesses.h"
@@ -43,7 +44,7 @@ SourceRange node_range(const Node& node) {
 }
 
 /// Range of the first positioned write of `name`, else `fallback`.
-SourceRange first_write_range(const AccessSet& accesses, const std::string& name,
+SourceRange first_write_range(const AccessSet& accesses, std::string_view name,
                               SourceRange fallback) {
   for (const Access& a : accesses.accesses)
     if (a.variable == name && a.is_write && a.site && a.site->line > 0)
@@ -52,7 +53,7 @@ SourceRange first_write_range(const AccessSet& accesses, const std::string& name
 }
 
 /// Range of the first direct call to `callee` in `body`, else `fallback`.
-SourceRange call_site_range(const Node& body, const std::string& callee,
+SourceRange call_site_range(const Node& body, std::string_view callee,
                             SourceRange fallback) {
   SourceRange found = fallback;
   bool done = false;
@@ -67,11 +68,12 @@ SourceRange call_site_range(const Node& body, const std::string& callee,
   return found;
 }
 
-bool contains(const std::vector<std::string>& names, const std::string& name) {
+template <typename Names>
+bool contains(const Names& names, std::string_view name) {
   return std::find(names.begin(), names.end(), name) != names.end();
 }
 
-void erase_name(std::vector<std::string>& names, const std::string& name) {
+void erase_name(std::vector<std::string>& names, std::string_view name) {
   names.erase(std::remove(names.begin(), names.end(), name), names.end());
 }
 
@@ -172,7 +174,7 @@ LintReport Linter::lint_unit(const Node& unit, std::string file) const {
         stmt = scope.children[j];
         break;
       }
-      lint_pair(oracle, pragma_range(item), directive, stmt, report);
+      lint_pair(oracle, &item, directive, stmt, report);
     }
   });
   count_report(report);
@@ -184,15 +186,12 @@ LintReport Linter::lint_loop(const Node& unit, const OmpDirective& directive,
   CLPP_TRACE_SPAN("lint.unit");
   LintReport report;
   report.file = std::move(file);
-  // The directive line itself has no position in the parsed unit; anchor
-  // directive-level findings at the top of the snippet.
-  lint_pair(analysis::SideEffectOracle(unit),
-            token_range(1, 1, directive.to_string().size()), directive, loop, report);
+  lint_pair(analysis::SideEffectOracle(unit), nullptr, directive, loop, report);
   count_report(report);
   return report;
 }
 
-void Linter::lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_pragma,
+void Linter::lint_pair(const analysis::SideEffectOracle& oracle, const Node* pragma,
                        const OmpDirective& directive, const Node* stmt,
                        LintReport& report) const {
   CLPP_TRACE_SPAN("lint.loop");
@@ -203,9 +202,16 @@ void Linter::lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_
     report.diagnostics.push_back(
         {rule_id, severity, range, std::move(message), std::move(fix), {}});
   };
+  // Directive-level findings point at the pragma line. A directive from
+  // outside the unit has no position there: its findings sit at the top of
+  // the snippet, as wide as the rendered directive. Only a finding needs it.
+  const auto at_pragma = [&] {
+    return pragma != nullptr ? pragma_range(*pragma)
+                             : token_range(1, 1, directive.to_string().size());
+  };
 
   if (stmt == nullptr || stmt->kind != NodeKind::kFor) {
-    add(rule::kNonCanonicalLoop, Severity::kError, at_pragma,
+    add(rule::kNonCanonicalLoop, Severity::kError, at_pragma(),
         "worksharing-loop directive is not followed by a for loop");
     return;
   }
@@ -213,35 +219,37 @@ void Linter::lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_
   const SourceRange at_loop = node_range(loop);
   ++report.loops_checked;
 
-  const auto canonical = analysis::canonicalize(loop);
-  if (!canonical) {
+  // One scan of the loop serves the analyzer and every rule below.
+  const analysis::LoopScan scan(loop);
+  const analysis::CanonicalLoop* canonical = scan.canonical();
+  if (canonical == nullptr) {
     add(rule::kNonCanonicalLoop, Severity::kError, at_loop,
         "loop is not in OpenMP canonical form (single integer induction, "
         "invariant bound, constant step)");
     return;
   }
   const Node& body = loop.child(3);
-  if (analysis::has_early_exit(body)) {
+  const AccessSet& accesses = scan.body();
+  if (accesses.hazards.early_exit) {
     add(rule::kNonCanonicalLoop, Severity::kError, at_loop,
         "loop body exits early (break/goto/return); iterations cannot be "
         "shared out");
     return;
   }
 
-  // One scan of the body serves the analyzer and every rule below.
-  const AccessSet accesses = analysis::collect_accesses(body);
   const analysis::DependenceAnalyzer analyzer(oracle, options_.analyzer);
-  const analysis::LoopVerdict verdict = analyzer.analyze(loop, accesses);
+  const analysis::LoopVerdict verdict = analyzer.analyze(scan);
 
   // --- unknown-call-effect: every non-pure direct callee, once each.
-  std::set<std::string> reported_calls;
-  for (const std::string& callee : accesses.hazards.called_functions) {
-    if (!reported_calls.insert(callee).second) continue;
+  const auto& calls = accesses.hazards.called_functions;
+  for (auto it = calls.begin(); it != calls.end(); ++it) {
+    const std::string_view callee = *it;
+    if (std::find(calls.begin(), it, callee) != it) continue;
     const CallEffect effect = oracle.effect_of(callee);
     if (effect == CallEffect::kPure) continue;
     add(rule::kUnknownCallEffect, Severity::kWarning,
         call_site_range(body, callee, at_loop),
-        "call to '" + callee + "' inside the parallel loop " +
+        "call to '" + std::string(callee) + "' inside the parallel loop " +
             describe_effect(effect));
   }
 
@@ -268,16 +276,22 @@ void Linter::lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_
             std::to_string(options_.small_trip_threshold) +
             "); fork/join overhead will dominate");
 
-  // Clause surface the directive already provides.
-  std::set<std::string> privatized;
-  privatized.insert(canonical->induction);  // worksharing privatizes the iterator
-  for (const std::string& n : directive.private_vars) privatized.insert(n);
-  for (const std::string& n : directive.firstprivate_vars) privatized.insert(n);
-  for (const std::string& n : directive.lastprivate_vars) privatized.insert(n);
-  std::set<std::string> reduced;
-  for (const frontend::Reduction& r : directive.reductions) reduced.insert(r.variable);
-  std::set<std::string> accumulators;
-  for (const frontend::Reduction& r : verdict.reductions) accumulators.insert(r.variable);
+  // Clause surface the directive already provides; worksharing privatizes
+  // the iterator.
+  const std::string_view induction = canonical->induction;
+  const auto privatized = [&](std::string_view name) {
+    return name == induction || contains(directive.private_vars, name) ||
+           contains(directive.firstprivate_vars, name) ||
+           contains(directive.lastprivate_vars, name);
+  };
+  const auto reduces = [](const std::vector<frontend::Reduction>& reductions,
+                          std::string_view name) {
+    return std::any_of(reductions.begin(), reductions.end(),
+                       [&](const frontend::Reduction& r) { return r.variable == name; });
+  };
+  const auto reduced = [&](std::string_view name) {
+    return reduces(directive.reductions, name);
+  };
 
   // --- loop-carried-dependence / simd-* family: dependences that survive
   // the clauses.
@@ -301,11 +315,11 @@ void Linter::lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_
         dep.line > 0 ? token_range(dep.line, dep.column, dep.variable.size())
                      : at_loop;
     const bool scalar = dep.scalar;
-    if (scalar && privatized.count(dep.variable)) continue;  // clause cuts the edge
+    if (scalar && privatized(dep.variable)) continue;  // clause cuts the edge
     const std::size_t diags_before = report.diagnostics.size();
     if (pure_simd) {
       if (scalar) {
-        if (reduced.count(dep.variable)) {
+        if (reduced(dep.variable)) {
           add(rule::kSimdReductionMismatch, Severity::kError, at_dep,
               "carried dependence on '" + dep.variable +
                   "' does not match its reduction clause on the simd "
@@ -348,7 +362,7 @@ void Linter::lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_
       continue;
     }
     std::string message;
-    if (scalar && reduced.count(dep.variable))
+    if (scalar && reduced(dep.variable))
       message = "carried dependence on '" + dep.variable +
                 "' does not match its reduction clause; the combined result "
                 "will differ from serial execution";
@@ -369,26 +383,29 @@ void Linter::lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_
     std::string message;
   };
   std::vector<Pending> pending;
-  OmpDirective corrected = directive;
+  std::optional<OmpDirective> corrected_once;
+  const auto corrected = [&]() -> OmpDirective& {
+    return corrected_once ? *corrected_once : corrected_once.emplace(directive);
+  };
 
   // --- shared-induction.
-  if (contains(directive.shared_vars, canonical->induction)) {
-    pending.push_back({rule::kSharedInduction, at_pragma,
-                       "induction variable '" + canonical->induction +
+  if (contains(directive.shared_vars, induction)) {
+    pending.push_back({rule::kSharedInduction, at_pragma(),
+                       "induction variable '" + std::string(induction) +
                            "' is listed shared(...): every thread would write "
                            "the one shared iterator"});
-    erase_name(corrected.shared_vars, canonical->induction);
+    erase_name(corrected().shared_vars, induction);
   }
 
   // --- missing-private.
   for (const std::string& name : verdict.private_candidates) {
-    if (privatized.count(name) || reduced.count(name)) continue;
+    if (privatized(name) || reduced(name)) continue;
     pending.push_back({rule::kMissingPrivate,
-                       first_write_range(accesses, name, at_pragma),
+                       first_write_range(accesses, name, at_pragma()),
                        "'" + name +
                            "' is rewritten every iteration but not privatized; "
                            "concurrent writes race"});
-    corrected.private_vars.push_back(name);
+    corrected().private_vars.push_back(name);
   }
 
   // --- missing-reduction (wrong operator counts as missing).
@@ -405,7 +422,7 @@ void Linter::lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_
                 "': clause declares '" + frontend::reduction_op_name(declared->op) +
                 "' but the loop accumulates with '" +
                 frontend::reduction_op_name(r.op) + "'";
-    else if (privatized.count(r.variable) && r.variable != canonical->induction)
+    else if (privatized(r.variable) && r.variable != induction)
       message = "'" + r.variable +
                 "' accumulates across iterations but is only privatized; each "
                 "thread's partial result is discarded — use " + clause;
@@ -414,56 +431,42 @@ void Linter::lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_
                 "' races on the shared scalar; needs " + clause;
     pending.push_back({pure_simd ? rule::kSimdReductionMismatch
                                  : rule::kMissingReduction,
-                       first_write_range(accesses, r.variable, at_pragma),
+                       first_write_range(accesses, r.variable, at_pragma()),
                        std::move(message)});
-    corrected.reductions.erase(
-        std::remove_if(corrected.reductions.begin(), corrected.reductions.end(),
-                       [&](const frontend::Reduction& d) {
-                         return d.variable == r.variable;
-                       }),
-        corrected.reductions.end());
-    corrected.reductions.push_back(r);
-    erase_name(corrected.private_vars, r.variable);
-    erase_name(corrected.firstprivate_vars, r.variable);
-    erase_name(corrected.lastprivate_vars, r.variable);
+    OmpDirective& fix = corrected();
+    std::erase_if(fix.reductions,
+                  [&](const frontend::Reduction& d) { return d.variable == r.variable; });
+    fix.reductions.push_back(r);
+    erase_name(fix.private_vars, r.variable);
+    erase_name(fix.firstprivate_vars, r.variable);
+    erase_name(fix.lastprivate_vars, r.variable);
   }
 
-  const std::string fix_text = pending.empty() ? std::string{} : corrected.to_string();
+  const std::string fix_text = pending.empty() ? std::string{} : corrected().to_string();
   for (Pending& p : pending)
     add(p.rule_id, Severity::kError, p.range, std::move(p.message), fix_text);
 
   // --- simd-on-non-innermost: vectorizing an outer loop is rarely intended.
-  if (directive.simd) {
-    bool has_inner_loop = false;
-    frontend::walk(body, [&](const Node& n, int) {
-      if (n.kind == NodeKind::kFor) has_inner_loop = true;
-    });
-    if (has_inner_loop) {
-      std::string fix;
-      if (directive.for_loop) {
-        frontend::OmpDirective dropped = directive;
-        dropped.simd = false;
-        dropped.safelen = 0;
-        dropped.simdlen = 0;
-        fix = dropped.to_string();
-      }
-      add(rule::kSimdNonInnermost, Severity::kWarning, at_loop,
-          "simd applies to a loop whose body contains another loop; "
-          "vectorize the innermost loop instead",
-          std::move(fix));
+  if (directive.simd && accesses.has_for) {
+    std::string fix;
+    if (directive.for_loop) {
+      frontend::OmpDirective dropped = directive;
+      dropped.simd = false;
+      dropped.safelen = 0;
+      dropped.simdlen = 0;
+      fix = dropped.to_string();
     }
+    add(rule::kSimdNonInnermost, Severity::kWarning, at_loop,
+        "simd applies to a loop whose body contains another loop; "
+        "vectorize the innermost loop instead",
+        std::move(fix));
   }
 
   // --- uninitialized-private: a private var whose first access reads it.
   for (const std::string& name : directive.private_vars) {
-    if (name == canonical->induction) continue;
-    if (accumulators.count(name)) continue;  // missing-reduction already fired
-    const Access* first = nullptr;
-    for (const Access& a : accesses.accesses)
-      if (a.variable == name && !a.is_array) {
-        first = &a;
-        break;
-      }
+    if (name == induction) continue;
+    if (reduces(verdict.reductions, name)) continue;  // missing-reduction already fired
+    const Access* first = accesses.first_scalar_access(name);
     if (first == nullptr || first->is_write) continue;
     OmpDirective promoted = directive;
     erase_name(promoted.private_vars, name);
@@ -471,7 +474,7 @@ void Linter::lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_
     add(rule::kUninitializedPrivate, Severity::kWarning,
         first->site && first->site->line > 0
             ? token_range(first->site->line, first->site->column, name.size())
-            : at_pragma,
+            : at_pragma(),
         "private variable '" + name +
             "' is read before any write in the loop body; private copies "
             "start uninitialized (firstprivate keeps the original value)",

@@ -82,7 +82,9 @@ class Linter {
                        std::string file = "<input>") const;
 
  private:
-  void lint_pair(const analysis::SideEffectOracle& oracle, SourceRange at_pragma,
+  /// `pragma` is the directive's line in the unit, or null when the
+  /// directive comes from outside it (lint_loop).
+  void lint_pair(const analysis::SideEffectOracle& oracle, const frontend::Node* pragma,
                  const frontend::OmpDirective& directive,
                  const frontend::Node* stmt, LintReport& report) const;
 

@@ -153,6 +153,16 @@ TEST(Canonical, RejectsNonCanonicalForms) {
   }
 }
 
+TEST(Canonical, StaticTripCountReadsHexAndOctalBounds) {
+  const NodePtr hex = parse_snippet("for (i = 0; i < 0x100; i++) ;");
+  EXPECT_EQ(canonicalize(first_for(*hex))->static_trip_count().value_or(-1), 256);
+  const NodePtr octal = parse_snippet("for (i = 010; i < 020u; i += 0x2) ;");
+  const auto loop = canonicalize(first_for(*octal));
+  ASSERT_TRUE(loop.has_value());
+  EXPECT_EQ(loop->step, 2);
+  EXPECT_EQ(loop->static_trip_count().value_or(-1), 4);
+}
+
 TEST(Canonical, StaticTripCountZeroForEmptyRange) {
   const NodePtr unit = parse_snippet("for (i = 10; i < 10; i++) ;");
   const auto loop = canonicalize(first_for(*unit));
@@ -162,13 +172,13 @@ TEST(Canonical, StaticTripCountZeroForEmptyRange) {
 
 TEST(Canonical, EarlyExitDetection) {
   const NodePtr a = parse_snippet("for (i = 0; i < n; i++) { if (x) break; }");
-  EXPECT_TRUE(has_early_exit(first_for(*a).child(3)));
+  EXPECT_TRUE(collect_accesses(first_for(*a).child(3)).hazards.early_exit);
   const NodePtr b = parse_snippet(
       "for (i = 0; i < n; i++) { for (j = 0; j < m; j++) { if (x) break; } }");
-  EXPECT_FALSE(has_early_exit(first_for(*b).child(3)))
+  EXPECT_FALSE(collect_accesses(first_for(*b).child(3)).hazards.early_exit)
       << "break in a nested loop does not escape the outer body";
   const NodePtr c = parse_snippet("for (i = 0; i < n; i++) { return; }");
-  EXPECT_TRUE(has_early_exit(first_for(*c).child(3)));
+  EXPECT_TRUE(collect_accesses(first_for(*c).child(3)).hazards.early_exit);
 }
 
 // --- whole-loop verdicts -------------------------------------------------------------
@@ -473,6 +483,36 @@ TEST(AffineFormTest, MutatedNameIsNotAffine) {
   EXPECT_FALSE(form.affine);
 }
 
+TEST(DdtestV2, HexAndOctalOffsetsPinTheirValues) {
+  const LoopVerdict hex = analyze_with("for (i = 0; i < n; i++) a[i + 0x1] = a[i] + 1;");
+  EXPECT_FALSE(hex.parallelizable);
+  ASSERT_EQ(hex.dependences.size(), 1u);
+  EXPECT_EQ(hex.dependences[0].distance.value_or(-1), 1);
+  const LoopVerdict octal = analyze_with("for (i = 0; i < n; i++) a[i + 010] = a[i] + 1;");
+  ASSERT_EQ(octal.dependences.size(), 1u);
+  EXPECT_EQ(octal.dependences[0].distance.value_or(-1), 8);
+  // A literal the parser cannot read is an opaque symbol: conservative.
+  const LoopVerdict bad = analyze_with("for (i = 0; i < n; i++) a[i + 08] = a[i] + 1;");
+  EXPECT_FALSE(bad.parallelizable);
+}
+
+TEST(AffineFormTest, OverflowingLiteralArithmeticIsNotAffine) {
+  EXPECT_FALSE(affine_in_i("9223372036854775807 + 1").affine);
+  EXPECT_FALSE(affine_in_i("4611686018427387904 * i * 2").affine);
+  EXPECT_FALSE(affine_in_i("-9223372036854775807 - 2").affine);
+  EXPECT_EQ(affine_in_i("9223372036854775806 + 1"),
+            (AffineForm{true, {}, {}, 9223372036854775807LL}));
+}
+
+TEST(DdtestV2, HugeCoefficientsAreConservative) {
+  // Coefficients at the saturation bound cannot be tested exactly.
+  const LoopVerdict v = analyze_with(
+      "for (i = 0; i < n; i++)\n"
+      "  a[4611686018427387904 * i] = a[4611686018427387904 * i + 1] + 1.0;");
+  EXPECT_FALSE(v.parallelizable);
+  EXPECT_FALSE(v.exact());
+}
+
 TEST(DdtestV2, StrongSivPinsExactDistance) {
   const LoopVerdict v = analyze_with("for (i = 2; i < n; i++) a[i] = a[i - 2] + 1.0;");
   EXPECT_FALSE(v.parallelizable);
@@ -598,9 +638,9 @@ TEST(DdtestV2, NestContextExposesDirectionBitmasks) {
       "for (i = 1; i < n; i++)\n"
       "  for (j = 0; j < m; j++)\n"
       "    A[i][j] = A[i - 1][j] + 1.0;");
-  const frontend::Node& loop = first_for(*unit);
-  const AccessSet accesses = collect_accesses(loop.child(3));
-  const NestContext nest(loop, accesses);
+  const LoopScan scan(first_for(*unit));
+  const AccessSet& accesses = scan.body();
+  NestContext nest(scan);
   const auto writes = accesses.writes_of("A");
   const auto reads = accesses.reads_of("A");
   ASSERT_EQ(writes.size(), 1u);
@@ -644,9 +684,9 @@ TEST(DdtestV2, NestContextChainsOnImperfectNest) {
       "  for (q = 0; q * q < n; q++)\n"      // 16
       "    F[i][q] = A[i];\n"                // 17
       "}");
-  const frontend::Node& loop = first_for(*unit);
-  const AccessSet accesses = collect_accesses(loop.child(3));
-  const NestContext nest(loop, accesses);
+  const LoopScan scan(first_for(*unit));
+  const AccessSet& accesses = scan.body();
+  NestContext nest(scan);
   const auto at = [&](const char* array, bool write, int line) -> const Access& {
     for (const Access& a : accesses.accesses)
       if (a.is_array && a.variable == array && a.is_write == write && a.site->line == line)

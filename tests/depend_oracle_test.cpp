@@ -14,6 +14,10 @@
 //
 // The reverse direction (claiming a dependence that does not exist) is
 // deliberately unchecked: one-sided conservatism is the contract.
+//
+// Literals are spelled in decimal, hexadecimal and octal, and collisions
+// are computed from the generated specification, so a misread literal in
+// the engine shows up as a missed collision.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -56,9 +60,21 @@ struct NestSpec {
   std::vector<AccessSpec> refs;  // accesses to the single array "A"
 };
 
+/// `value` as a C literal: decimal, hexadecimal or octal by `style`.
+std::string spell(long long value, int style) {
+  std::ostringstream out;
+  if (style % 3 == 1)
+    out << "0x" << std::hex << value;
+  else if (style % 3 == 2 && value != 0)
+    out << '0' << std::oct << value;
+  else
+    out << value;
+  return out.str();
+}
+
 std::string render_subscript(const NestSpec& nest, const DimSpec& dim) {
   std::ostringstream out;
-  out << dim.offset;
+  out << spell(dim.offset, static_cast<int>(dim.offset + dim.coeffs.size()));
   for (std::size_t l = 0; l < dim.coeffs.size(); ++l) {
     const long long c = dim.coeffs[l];
     if (c == 0) continue;
@@ -77,8 +93,9 @@ std::string render(const NestSpec& nest) {
   std::ostringstream out;
   std::string indent;
   for (const LoopSpec& loop : nest.loops) {
+    const long long upper = loop.lower + loop.step * loop.trip;
     out << indent << "for (" << loop.var << " = " << loop.lower << "; " << loop.var
-        << " < " << loop.lower + loop.step * loop.trip << "; ";
+        << " < " << spell(upper, static_cast<int>(upper + 2)) << "; ";
     if (loop.step == 1)
       out << loop.var << "++";
     else
@@ -155,19 +172,23 @@ std::vector<std::vector<long long>> iteration_space(const NestSpec& nest) {
   return space;
 }
 
-/// Concrete subscript vector of one collected access at one iteration,
-/// evaluated through the same affine lowering the engine uses — the
-/// generated subscripts are literal affine, so the forms are exact.
-std::vector<long long> element_of(const NestSpec& nest,
-                                  const std::vector<AffineForm>& dims,
-                                  const std::vector<long long>& iter) {
+/// The references in the order the collector records them: each
+/// statement's reads, then its write.
+std::vector<const AccessSpec*> collected_order(const NestSpec& nest) {
+  std::vector<const AccessSpec*> writes, reads;
+  for (const AccessSpec& ref : nest.refs) (ref.is_write ? writes : reads).push_back(&ref);
+  std::vector<const AccessSpec*> order = reads;
+  order.insert(order.end(), writes.begin(), writes.end());
+  return order;
+}
+
+/// Concrete subscript vector of one reference at one iteration, from its
+/// specification.
+std::vector<long long> element_of(const AccessSpec& ref, const std::vector<long long>& iter) {
   std::vector<long long> element;
-  for (const AffineForm& form : dims) {
-    long long value = form.offset;
-    for (std::size_t l = 0; l < nest.loops.size(); ++l) {
-      const auto coeff = form.coeffs.find(nest.loops[l].var);
-      if (coeff != form.coeffs.end()) value += coeff->second * iter[l];
-    }
+  for (const DimSpec& dim : ref.dims) {
+    long long value = dim.offset;
+    for (std::size_t l = 0; l < dim.coeffs.size(); ++l) value += dim.coeffs[l] * iter[l];
     element.push_back(value);
   }
   return element;
@@ -193,25 +214,17 @@ TEST(DependOracle, NeverClaimsFalseIndependence) {
     ASSERT_NE(loop, nullptr) << code;
     ++nests_checked;
 
-    const AccessSet accesses = collect_accesses(loop->child(3));
-    const NestContext context(*loop, accesses);
+    const LoopScan scan(*loop);
+    NestContext context(scan);
     std::vector<const Access*> refs;
-    for (const Access& access : accesses.accesses)
+    for (const Access& access : scan.body().accesses)
       if (access.is_array && access.variable == "A") refs.push_back(&access);
     ASSERT_EQ(refs.size(), nest.refs.size()) << code;
 
-    // Lower every collected subscript to its (exact, literal) affine form;
-    // the oracle evaluates these directly, so no spec matching is needed.
-    SubscriptEnv env;
-    for (const LoopSpec& loop : nest.loops) env.vars.insert(loop.var);
-    std::vector<std::vector<AffineForm>> dims_of(refs.size());
+    const std::vector<const AccessSpec*> specs = collected_order(nest);
     for (std::size_t a = 0; a < refs.size(); ++a) {
-      for (const frontend::Node* subscript : refs[a]->subscripts) {
-        const AffineForm form = analyze_affine(*subscript, env);
-        ASSERT_TRUE(form.affine) << code;
-        ASSERT_TRUE(form.symbols.empty()) << code;
-        dims_of[a].push_back(form);
-      }
+      ASSERT_EQ(refs[a]->is_write, specs[a]->is_write) << code;
+      ASSERT_EQ(refs[a]->subscripts.size(), specs[a]->dims.size()) << code;
     }
 
     const auto space = iteration_space(nest);
@@ -226,8 +239,7 @@ TEST(DependOracle, NeverClaimsFalseIndependence) {
         bool distance_consistent = true;
         for (const auto& src_iter : space) {
           for (const auto& snk_iter : space) {
-            if (element_of(nest, dims_of[src], src_iter) !=
-                element_of(nest, dims_of[snk], snk_iter))
+            if (element_of(*specs[src], src_iter) != element_of(*specs[snk], snk_iter))
               continue;
             collided = true;
             if (src_iter[0] != snk_iter[0]) {

@@ -486,6 +486,35 @@ TEST(Pragma, CollapseAndNumThreads) {
   EXPECT_EQ(d.num_threads, "8");
 }
 
+TEST(Pragma, IntegerArgumentsReadCLiterals) {
+  const OmpDirective d =
+      parse_omp_pragma("#pragma omp simd safelen(0x8) simdlen(010) collapse(2u)");
+  EXPECT_EQ(d.safelen, 8);
+  EXPECT_EQ(d.simdlen, 8);
+  EXPECT_EQ(d.collapse, 2);
+  EXPECT_EQ(parse_omp_pragma("omp for schedule(dynamic, 0x10)").schedule_chunk, 16);
+  // A malformed argument is kept as an unknown clause, not half-read.
+  const OmpDirective bad = parse_omp_pragma("omp simd safelen(8x)");
+  EXPECT_EQ(bad.safelen, 0);
+  ASSERT_EQ(bad.unknown_clauses.size(), 1u);
+  EXPECT_EQ(bad.unknown_clauses[0], "safelen(8x)");
+}
+
+TEST(Lexer, IntLiteralValueReadsEveryCBase) {
+  EXPECT_EQ(int_literal_value("0"), 0);
+  EXPECT_EQ(int_literal_value("42"), 42);
+  EXPECT_EQ(int_literal_value("0x1F"), 31);
+  EXPECT_EQ(int_literal_value("0X10"), 16);
+  EXPECT_EQ(int_literal_value("010"), 8);
+  EXPECT_EQ(int_literal_value("00"), 0);
+  EXPECT_EQ(int_literal_value("16ul"), 16);
+  EXPECT_EQ(int_literal_value("0x10LLU"), 16);
+  EXPECT_EQ(int_literal_value("9223372036854775807"), 9223372036854775807LL);
+  for (const char* bad : {"", "08", "0x", "0xg", "1e3", "-1", " 1", "1.0", "u",
+                          "9223372036854775808"})
+    EXPECT_FALSE(int_literal_value(bad).has_value()) << bad;
+}
+
 TEST(Pragma, ReductionOpNamesRoundTrip) {
   for (const char* symbol : {"+", "-", "*", "min", "max", "&&", "||", "&", "|", "^"}) {
     EXPECT_EQ(reduction_op_name(reduction_op_from(symbol)), symbol);

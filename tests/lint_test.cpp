@@ -191,6 +191,24 @@ TEST(Lint, ArrayRecurrenceIsAnError) {
   EXPECT_NE(d->message.find("'a'"), std::string::npos) << d->message;
 }
 
+TEST(Lint, HexOffsetRecurrenceIsAnError) {
+  // a[i + 0x1] is written one iteration ahead of the read of a[i].
+  const auto report = lint("#pragma omp parallel for",
+                           "for (i = 0; i < n; i++)\n"
+                           "  a[i + 0x1] = a[i] + 1;\n");
+  const Diagnostic* d = find_rule(report, rule::kLoopCarried);
+  ASSERT_NE(d, nullptr) << report.to_text();
+  EXPECT_EQ(d->severity, Severity::kError);
+  EXPECT_NE(d->provenance.find("distance 1"), std::string::npos) << d->provenance;
+}
+
+TEST(Lint, HexBoundIsNotASmallTripCount) {
+  const auto report = lint("#pragma omp parallel for",
+                           "for (i = 0; i < 0x100; i++)\n"
+                           "  a[i] = b[i];\n");
+  EXPECT_TRUE(report.clean()) << report.to_text();
+}
+
 TEST(Lint, IndependentElementwiseIsClean) {
   const auto report = lint("#pragma omp parallel for",
                            "for (i = 0; i < n; i++)\n"
@@ -470,6 +488,28 @@ TEST(LintSimd, WideDistanceSuggestsSafelen) {
   const Diagnostic* d = find_rule(report, rule::kSimdMissesSafelen);
   ASSERT_NE(d, nullptr);
   EXPECT_NE(d->fix.find("safelen(4)"), std::string::npos) << d->fix;
+}
+
+TEST(LintSimd, OctalDistanceSuggestsItsRealSafelen) {
+  // 010 is eight: the fix-it must license vectors of eight, not ten.
+  const auto report = lint("#pragma omp simd",
+                           "for (i = 0; i < n; i++)\n"
+                           "  a[i + 010] = a[i] + 1;\n");
+  const Diagnostic* d = find_rule(report, rule::kSimdMissesSafelen);
+  ASSERT_NE(d, nullptr) << report.to_text();
+  EXPECT_NE(d->message.find("distance 8"), std::string::npos) << d->message;
+  EXPECT_NE(d->fix.find("safelen(8)"), std::string::npos) << d->fix;
+}
+
+TEST(LintSimd, HexSafelenLicensesItsDistance) {
+  // safelen(0x8) declares eight, which is too wide for distance 4.
+  const auto report = lint("#pragma omp simd safelen(0x8)",
+                           "for (i = 4; i < n; i++)\n"
+                           "  a[i] = a[i - 4] + 1.0;\n");
+  EXPECT_EQ(find_rule(report, rule::kSimdMissesSafelen), nullptr) << report.to_text();
+  const Diagnostic* d = find_rule(report, rule::kSimdUnsafeDep);
+  ASSERT_NE(d, nullptr) << report.to_text();
+  EXPECT_NE(d->message.find("safelen(8)"), std::string::npos) << d->message;
 }
 
 TEST(LintSimd, OversizedSafelenIsAnErrorWithTightenedFix) {
